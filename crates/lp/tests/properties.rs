@@ -22,6 +22,25 @@ fn primal(a: &[Vec<f64>], b: &[f64], c: &[f64]) -> (Problem, Vec<VarId>) {
     (p, vars)
 }
 
+/// Builds `min c·x  s.t.  rows, x ≥ 0` over mixed `≥`/`=`/`≤` rows, each
+/// row's rhs scaled by its entry in `scale`. The `≥` and `=` rows need
+/// artificial variables, which the `Le`-only [`primal`] never exercises.
+fn mixed(rows: &[(Vec<f64>, Cmp, f64)], c: &[f64], scale: &[f64]) -> Problem {
+    let mut p = Problem::new(Sense::Minimize);
+    let vars: Vec<VarId> = c.iter().map(|&cj| p.add_var(cj)).collect();
+    for ((coefs, cmp, rhs), s) in rows.iter().zip(scale) {
+        p.add_constraint(
+            vars.iter()
+                .zip(coefs)
+                .map(|(&v, &coef)| (v, coef))
+                .collect(),
+            *cmp,
+            rhs * s,
+        );
+    }
+    p
+}
+
 /// Builds the dual `min b·y  s.t.  Aᵀ y ≥ c, y ≥ 0`.
 fn dual(a: &[Vec<f64>], b: &[f64], c: &[f64]) -> Problem {
     let mut p = Problem::new(Sense::Minimize);
@@ -34,6 +53,15 @@ fn dual(a: &[Vec<f64>], b: &[f64], c: &[f64]) -> Problem {
         );
     }
     p
+}
+
+/// Up to `n` random rows over `vars` variables, with a random relation each.
+fn mixed_rows(vars: usize, n: usize) -> impl Strategy<Value = Vec<(Vec<f64>, Cmp, f64)>> {
+    let cmp = prop_oneof![Just(Cmp::Ge), Just(Cmp::Eq), Just(Cmp::Le)];
+    prop::collection::vec(
+        (prop::collection::vec(0.0f64..2.0, vars), cmp, 1.0f64..5.0),
+        3..=n,
+    )
 }
 
 fn matrix(m: usize, n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -228,5 +256,39 @@ proptest! {
         }
         let lp = relax.solve().expect("relaxation feasible");
         prop_assert!(lp.objective() >= ilp.objective() - 1e-6);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Warm restarts stay exact on programs whose starting basis holds
+    /// artificial variables: after an rhs perturbation of a mixed
+    /// `≥`/`=`/`≤` program, the warm and cold solves either both fail or
+    /// both succeed with a feasible warm point and objectives within 1e-5.
+    #[test]
+    fn warm_restart_with_artificials_matches_cold(
+        n in 4usize..=6,
+        c in prop::collection::vec(0.5f64..3.5, 6),
+        rows in mixed_rows(6, 5),
+        scale in prop::collection::vec(0.5f64..1.5, 5),
+    ) {
+        let cfg = RevisedConfig::default();
+        let c = &c[..n];
+        // Only a program whose unperturbed solve succeeds yields a basis
+        // to warm from.
+        if let Ok((_, snap, _)) = revised::solve_with_basis(&mixed(&rows, c, &[1.0; 5]), &cfg, None) {
+            let p2 = mixed(&rows, c, &scale);
+            let cold = revised::solve(&p2, &cfg);
+            let warm = revised::solve_with_basis(&p2, &cfg, Some(&snap));
+            prop_assert_eq!(cold.is_ok(), warm.is_ok(),
+                "warm and cold solves disagree on solvability");
+            if let (Ok(cold), Ok((warm, _, how))) = (cold, warm) {
+                prop_assert!(p2.is_feasible(warm.values(), 1e-5),
+                    "warm point infeasible ({how:?})");
+                prop_assert!((warm.objective() - cold.objective()).abs() < 1e-5,
+                    "warm {} vs cold {} ({how:?})", warm.objective(), cold.objective());
+            }
+        }
     }
 }

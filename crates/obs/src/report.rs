@@ -187,9 +187,7 @@ pub struct FlightDump {
 /// One `stall_shard` event: a shard's run-total wall-time split under
 /// the epoch/actor runtime — time executing leased slots, time handling
 /// mailbox commands, and time idle waiting for the next lease (the
-/// watermark). Legacy traces from the lockstep runtime carry a single
-/// `wait_ms` field; it parses into `watermark_ms` (the old barrier wait
-/// was exactly the wait for the next tick grant).
+/// watermark).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StallShard {
     /// The shard.
@@ -197,10 +195,10 @@ pub struct StallShard {
     /// Total time executing leased slots (ms).
     pub work_ms: f64,
     /// Total time handling mailbox commands — injections, station
-    /// extract/absorb (ms). Zero in legacy traces.
+    /// extract/absorb (ms).
     pub mailbox_ms: f64,
     /// Total time idle waiting for the watermark to extend the lease
-    /// (ms). Parsed from `wait_ms` in legacy lockstep traces.
+    /// (ms).
     pub watermark_ms: f64,
 }
 
@@ -214,7 +212,7 @@ pub struct StallDriver {
     /// Time spent detecting faults and restarting workers (ms).
     pub recovery_ms: f64,
     /// Time spent granting leases and folding tick reports at the
-    /// watermark (ms). Parsed from `barrier_ms` in legacy traces.
+    /// watermark (ms).
     pub fold_ms: f64,
     /// Slots the loop ran.
     pub slots: u64,
@@ -472,32 +470,18 @@ where
                 burn_fast: get_f64(&obj, "burn_fast"),
                 burn_slow: get_f64(&obj, "burn_slow"),
             }),
-            "stall_shard" => {
-                // Legacy lockstep traces carry `wait_ms` (barrier wait);
-                // it folds into the watermark column.
-                let watermark = if obj.contains_key("watermark_ms") {
-                    get_f64(&obj, "watermark_ms")
-                } else {
-                    get_f64(&obj, "wait_ms")
-                };
-                r.stall_shards.push(StallShard {
-                    shard,
-                    work_ms: get_f64(&obj, "work_ms"),
-                    mailbox_ms: get_f64(&obj, "mailbox_ms"),
-                    watermark_ms: watermark,
-                });
-            }
+            "stall_shard" => r.stall_shards.push(StallShard {
+                shard,
+                work_ms: get_f64(&obj, "work_ms"),
+                mailbox_ms: get_f64(&obj, "mailbox_ms"),
+                watermark_ms: get_f64(&obj, "watermark_ms"),
+            }),
             "stall_driver" => {
-                let fold = if obj.contains_key("fold_ms") {
-                    get_f64(&obj, "fold_ms")
-                } else {
-                    get_f64(&obj, "barrier_ms")
-                };
                 r.stall_driver = Some(StallDriver {
                     wall_ms: get_f64(&obj, "wall_ms"),
                     dispatch_ms: get_f64(&obj, "dispatch_ms"),
                     recovery_ms: get_f64(&obj, "recovery_ms"),
-                    fold_ms: fold,
+                    fold_ms: get_f64(&obj, "fold_ms"),
                     slots: get_u64(&obj, "slots"),
                 });
             }
@@ -1426,22 +1410,6 @@ mod tests {
         assert!(text.contains("mean shard work share: 30.0%"), "{text}");
         // Mean watermark-wait share: (75 + 60) / 2 = 67.5%.
         assert!(text.contains("mean watermark-wait share: 67.5%"), "{text}");
-    }
-
-    #[test]
-    fn legacy_lockstep_stall_events_still_parse() {
-        // Traces written by the pre-epoch lockstep runtime: a single
-        // `wait_ms` (barrier wait) and a driver `barrier_ms` phase.
-        let lines = [
-            r#"{"slot":250,"kind":"stall_shard","shard":0,"work_ms":2000.0,"wait_ms":8000.0}"#,
-            r#"{"slot":250,"kind":"stall_driver","wall_ms":10000.0,"dispatch_ms":500.0,"recovery_ms":0.0,"barrier_ms":9000.0,"slots":250}"#,
-        ];
-        let report = build_report(lines.iter().copied()).unwrap();
-        assert_eq!(report.stall_shards[0].watermark_ms, 8000.0);
-        assert_eq!(report.stall_shards[0].mailbox_ms, 0.0);
-        assert_eq!(report.stall_driver.unwrap().fold_ms, 9000.0);
-        let text = report.render();
-        assert!(text.contains("watermark-wait 8000.0 ms (80.0%)"), "{text}");
     }
 
     #[test]

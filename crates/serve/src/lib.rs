@@ -34,9 +34,9 @@
 //!   backlog reaches `queue_capacity`, new arrivals for it are shed (and
 //!   counted) instead of enqueued.
 //! * There is no per-slot barrier. The coordinator leases each shard a
-//!   span of slots ([`ShardCommand::Grant`], bounded by
+//!   span of slots (`ShardCommand::Grant`, bounded by
 //!   [`ServeConfig::epoch_horizon`]); workers execute leased slots
-//!   back-to-back, streaming one [`shard::ShardEvent::Tick`] per slot,
+//!   back-to-back, streaming one `ShardEvent::Tick` per slot,
 //!   while the coordinator folds exactly one slot per phase at the
 //!   **watermark** — the slot for which every inbound message has
 //!   provably arrived. Same seed + same shards ⇒ byte-identical results
@@ -118,7 +118,7 @@ pub mod placement;
 pub mod policy;
 pub mod router;
 pub mod runtime;
-pub mod shard;
+mod shard;
 pub mod snapshot;
 
 pub use chaos::{
@@ -134,8 +134,4 @@ pub use placement::{PlacementPlane, RouteDecision};
 pub use policy::{policy_from_name, UnknownPolicy, POLICY_NAMES};
 pub use router::{Admission, DegradedPolicy, Router};
 pub use runtime::{serve, FaultConfig, ServeConfig, ServeError, ServeOutcome};
-pub use shard::{
-    HandoffEvent, RecoverPlan, ShardCommand, ShardEvent, ShardFinal, ShardHandle, ShardProgress,
-    ShardRecovered, ShardReply, ShardTick, SpawnSpec,
-};
 pub use snapshot::{FaultStats, LatencyStats, PlacementStats, Snapshot};

@@ -23,7 +23,7 @@
 use crate::chaos::{DiskFaultKind, DiskFaultSpec, DiskTarget};
 use crate::journal::DiskIncidents;
 use crate::router::Router;
-use crate::shard::ShardTick;
+use crate::shard::{ShardTaps, ShardTick};
 use crate::snapshot::{FaultStats, PlacementStats};
 use mec_core::RegretAccountant;
 use mec_obs::{
@@ -853,45 +853,26 @@ impl ObsState {
         }
     }
 
-    /// Whether the learner probe should be attached to shard policies.
-    pub(crate) fn probe(&self) -> bool {
-        self.learn.is_some()
-    }
-
-    /// The worker trace ring for `shard` (shared across restarts, so a
-    /// replacement worker writes into the same stream).
-    pub(crate) fn ring(&self, shard: usize) -> Option<TraceRing> {
-        self.rings[shard].clone()
-    }
-
-    /// The worker's wall-clock step-timing histogram for `shard`.
-    pub(crate) fn step_hist(&self, shard: usize) -> Option<Arc<Histogram>> {
-        Some(Arc::clone(&self.step[shard]))
-    }
-
-    /// The worker lifecycle ring for `shard` (shared across restarts,
-    /// like the trace ring). `None` when no lifecycle sink is attached.
-    pub(crate) fn life_ring(&self, shard: usize) -> Option<LifecycleRing> {
-        self.life_rings[shard].clone()
-    }
-
-    /// The worker's stall probe for `shard`.
-    pub(crate) fn stall_probe(&self, shard: usize) -> StallProbe {
-        self.stall[shard].clone()
-    }
-
-    /// The fine-grained latency histogram (for worker-side exemplars).
-    pub(crate) fn latency_fine(&self) -> Arc<Histogram> {
-        Arc::clone(&self.latency_fine)
+    /// Everything shard `shard`'s worker reports into: its trace and
+    /// lifecycle rings, step-timing histogram and stall probe (all shared
+    /// across restarts, so a replacement worker continues the same
+    /// streams), the fine latency histogram for exemplars, and the
+    /// learner telemetry and probe switches.
+    pub(crate) fn taps(&self, shard: usize) -> ShardTaps {
+        ShardTaps {
+            ring: self.rings[shard].clone(),
+            step_hist: Some(Arc::clone(&self.step[shard])),
+            life_ring: self.life_rings[shard].clone(),
+            stall: Some(self.stall[shard].clone()),
+            fine_hist: Some(Arc::clone(&self.latency_fine)),
+            telemetry_every: self.telemetry_every,
+            probe: self.learn.is_some(),
+        }
     }
 
     /// Whether run-end stall events were requested on the hub.
     pub(crate) fn stall_events(&self) -> bool {
         self.hub.as_ref().is_some_and(|h| h.stall_events())
-    }
-
-    pub(crate) fn telemetry_every(&self) -> u64 {
-        self.telemetry_every
     }
 
     /// Folds one tick reply into metrics and (with the `obs` feature)
@@ -901,9 +882,9 @@ impl ObsState {
         let shard = tick.shard;
         let slot = tick.report.slot;
         self.backlog[shard].set(tick.backlog as f64);
-        self.completed[shard].store(tick.completed as u64);
-        self.expired[shard].store(tick.expired as u64);
-        self.aborted[shard].store(tick.aborted as u64);
+        self.completed[shard].store(tick.totals.completed as u64);
+        self.expired[shard].store(tick.totals.expired as u64);
+        self.aborted[shard].store(tick.totals.aborted as u64);
         for &lat in &tick.new_latencies {
             self.latency[shard].observe(lat);
             self.latency_fine.observe(lat);
@@ -1731,8 +1712,8 @@ mod tests {
     fn fresh_state_reports_quiet_faults() {
         let obs = ObsState::new(3, None);
         assert!(obs.fault_stats().is_quiet());
-        assert!(obs.ring(0).is_none(), "no tracing without a hub");
-        assert!(obs.step_hist(2).is_some());
+        assert!(obs.taps(0).ring.is_none(), "no tracing without a hub");
+        assert!(obs.taps(2).step_hist.is_some());
     }
 
     #[test]
@@ -1779,7 +1760,7 @@ mod tests {
     fn hub_with_trace_creates_worker_rings() {
         let hub = Arc::new(ObsHub::new().with_trace(TraceWriter::new(Box::new(Vec::new()))));
         let obs = ObsState::new(2, Some(hub));
-        assert!(obs.ring(0).is_some());
-        assert!(obs.ring(1).is_some());
+        assert!(obs.taps(0).ring.is_some());
+        assert!(obs.taps(1).ring.is_some());
     }
 }

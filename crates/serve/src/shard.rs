@@ -39,13 +39,13 @@ use mec_obs::{LifecycleRecord, LifecycleSink};
 use mec_sim::{
     Engine, EngineState, Metrics, PolicyTelemetry, SlotConfig, SlotPolicy, SlotReport, StationSlice,
 };
-use mec_topology::StationId;
+use mec_topology::{PathTable, StationId};
 use mec_workload::request::Request;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, SendError, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, RecvError, SendError, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What the driver sends a shard worker.
 #[derive(Debug)]
@@ -85,14 +85,8 @@ pub struct ShardTick {
     /// Waiting + running jobs after the slot — the queue depth admission
     /// control tracks.
     pub backlog: usize,
-    /// Cumulative reward collected by this shard.
-    pub total_reward: f64,
-    /// Cumulative completed count.
-    pub completed: usize,
-    /// Cumulative expired count.
-    pub expired: usize,
-    /// Cumulative aborted count.
-    pub aborted: usize,
+    /// Cumulative outcome counters after the slot.
+    pub totals: ShardTotals,
     /// Latency samples recorded since the previous tick, in ms.
     pub new_latencies: Vec<f64>,
     /// Engine checkpoint taken right after this slot, when the worker was
@@ -121,31 +115,38 @@ pub struct ShardTick {
     pub solve_times_ms: Vec<f64>,
 }
 
-/// Terminal report from one shard.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardFinal {
-    /// The reporting shard.
-    pub shard: usize,
-    /// The shard engine's complete metrics.
-    pub metrics: Metrics,
+/// A shard engine's cumulative outcome counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ShardTotals {
+    /// Reward collected.
+    pub total_reward: f64,
+    /// Requests completed.
+    pub completed: usize,
+    /// Requests expired before first service.
+    pub expired: usize,
+    /// Streams aborted by the continuity requirement.
+    pub aborted: usize,
+}
+
+impl ShardTotals {
+    fn of(metrics: &Metrics) -> Self {
+        Self {
+            total_reward: metrics.total_reward(),
+            completed: metrics.completed(),
+            expired: metrics.expired(),
+            aborted: metrics.aborted(),
+        }
+    }
 }
 
 /// First reply of a worker spawned with a [`RecoverPlan`]: the state it
 /// reached after restoring the checkpoint and replaying the journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRecovered {
-    /// The reporting shard.
-    pub shard: usize,
     /// Queue depth after catch-up.
     pub backlog: usize,
-    /// Cumulative reward after catch-up.
-    pub total_reward: f64,
-    /// Cumulative completed count after catch-up.
-    pub completed: usize,
-    /// Cumulative expired count after catch-up.
-    pub expired: usize,
-    /// Cumulative aborted count after catch-up.
-    pub aborted: usize,
+    /// Cumulative outcome counters after catch-up.
+    pub totals: ShardTotals,
     /// *All* latency samples recorded so far (the driver replaces its
     /// per-shard sample set wholesale — deltas from before the crash are
     /// unreliable).
@@ -159,8 +160,9 @@ pub struct ShardRecovered {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardReply {
-    /// Answer to [`ShardCommand::Finish`]; the worker exits after this.
-    Final(ShardFinal),
+    /// Answer to [`ShardCommand::Finish`]: the shard engine's complete
+    /// metrics. The worker exits after this.
+    Final(Metrics),
     /// First reply after a spawn with a [`RecoverPlan`] — sent before any
     /// command is consumed.
     Recovered(ShardRecovered),
@@ -273,6 +275,7 @@ pub struct RecoverPlan {
     /// worker before it crashed (its ring outlives it), so re-emitting
     /// them would duplicate the stream. The supervisor sets this to the
     /// first slot the dead worker missed; 0 replays everything.
+    #[cfg_attr(not(feature = "lifecycle"), allow(dead_code))]
     pub life_from: u64,
     /// Global ids of the requests already inside `base`, in engine-local
     /// (dense inject) order. The engine re-identifies requests on inject,
@@ -280,6 +283,7 @@ pub struct RecoverPlan {
     /// mirrors the map and seeds the replacement worker's tracker with
     /// it. Empty for a genesis base (replay rebuilds the map from the
     /// journal, which still carries global ids).
+    #[cfg_attr(not(feature = "lifecycle"), allow(dead_code))]
     pub life_ids: Vec<u64>,
 }
 
@@ -308,12 +312,22 @@ pub struct SpawnSpec {
     /// initial spawn, +1 per restart) so the coordinator can drop events
     /// from stale incarnations.
     pub gen: u64,
+    /// What the worker reports into beyond its tick stream.
+    pub taps: ShardTaps,
+}
+
+/// A worker's observability attachments, handed out per shard by the
+/// coordinator's observability state (shared across restarts, so a
+/// replacement worker writes into the same streams and gauges). The
+/// default attaches nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ShardTaps {
     /// Worker-side trace ring, drained by the coordinator at each
     /// watermark fold. `None` when tracing is off (events become no-ops).
     pub ring: Option<TraceRing>,
     /// Wall-clock engine-step timing histogram (live metrics only; never
     /// reaches snapshots or traces).
-    pub step_hist: Option<std::sync::Arc<Histogram>>,
+    pub step_hist: Option<Arc<Histogram>>,
     /// Worker-side lifecycle ring, drained by the coordinator at each
     /// watermark fold. `None` when lifecycle tracing is off; records also
     /// require the `lifecycle` cargo feature to be emitted at all.
@@ -325,7 +339,8 @@ pub struct SpawnSpec {
     /// Fine-grained latency histogram to attach completed-request-id
     /// exemplars to (only consulted while lifecycle tracking is active;
     /// the driver owns the observation counts).
-    pub fine_hist: Option<std::sync::Arc<Histogram>>,
+    #[cfg_attr(not(feature = "lifecycle"), allow(dead_code))]
+    pub fine_hist: Option<Arc<Histogram>>,
     /// Attach a [`PolicyTelemetry`] to every Nth tick reply (0 disables
     /// the learner-telemetry sweep).
     pub telemetry_every: u64,
@@ -339,8 +354,6 @@ pub struct SpawnSpec {
 /// Driver-side handle to one shard worker thread.
 #[derive(Debug)]
 pub struct ShardHandle {
-    /// The shard this handle drives.
-    pub shard: usize,
     cmd_tx: SyncSender<ShardCommand>,
     reply_rx: Receiver<ShardReply>,
     join: Option<JoinHandle<()>>,
@@ -349,7 +362,6 @@ pub struct ShardHandle {
 
 /// Engine-trace capacity for lifecycle tracking — several events per
 /// request, so this covers runs of a few hundred thousand requests.
-#[cfg(feature = "lifecycle")]
 const LIFE_TRACE_CAP: usize = 1 << 20;
 
 /// Worker-side lifecycle tracking: maps engine-local request ids back to
@@ -394,7 +406,7 @@ impl LifeTracker {
     /// completion order, for latency-exemplar pairing). `Arrived` is
     /// skipped — the driver records the `admit` stage with the routing
     /// context the worker no longer has.
-    fn drain(&mut self, engine: &Engine, shard: usize, plan: &ShardPlan) -> Vec<u64> {
+    fn drain(&mut self, engine: &Engine, plan: &ShardPlan) -> Vec<u64> {
         let mut completed = Vec::new();
         let Some(trace) = engine.trace() else {
             return completed;
@@ -427,7 +439,7 @@ impl LifeTracker {
                 id: self.global(request),
                 stage,
                 slot: traced.slot,
-                shard: shard as i64,
+                shard: plan.shard as i64,
                 bs,
             });
         }
@@ -436,370 +448,434 @@ impl LifeTracker {
     }
 }
 
-/// The worker body: runs catch-up (if any), then the command loop.
-#[allow(clippy::too_many_lines)]
+/// One shard worker: the engine and policy it owns, the scripted faults
+/// still armed, lifecycle tracking, and the lease cursor.
+struct Worker<'a> {
+    spec: &'a SpawnSpec,
+    engine: Engine<'a>,
+    policy: Box<dyn SlotPolicy + Send>,
+    faults: Vec<ShardFault>,
+    #[cfg(feature = "lifecycle")]
+    life: Option<LifeTracker>,
+    replies: &'a SyncSender<ShardReply>,
+    abandoned: &'a AtomicBool,
+    /// First slot no lease has executed yet.
+    next_live_slot: u64,
+    /// Latency samples already reported in earlier ticks.
+    seen_latencies: usize,
+    /// Blocked-on-mailbox time since the previous grant finished,
+    /// charged to the watermark bucket when the next grant arrives. So
+    /// the wait histogram measures the per-lease watermark wait: zero for
+    /// slots inside a multi-slot grant, which is the point of run-ahead.
+    grant_wait_ms: f64,
+}
+
+/// The stall bucket a stretch of worker time is charged to. With the
+/// watermark wait (charged per grant) the buckets partition the worker's
+/// loop time exactly: work (executing leased slots and catch-up replay),
+/// mailbox (handling inject/extract/absorb traffic), and watermark wait
+/// (blocked on the mailbox until the coordinator extends the lease).
+#[derive(Clone, Copy)]
+enum Stall {
+    Work,
+    Mailbox,
+}
+
+/// The worker body: catch-up (if any), then the command loop.
 fn worker_main(
-    spec: SpawnSpec,
-    mut policy: Box<dyn SlotPolicy + Send>,
-    reply_tx: &SyncSender<ShardReply>,
-    cmd_rx: Receiver<ShardCommand>,
+    mut spec: SpawnSpec,
+    policy: Box<dyn SlotPolicy + Send>,
+    replies: &SyncSender<ShardReply>,
+    commands: Receiver<ShardCommand>,
     abandoned: &AtomicBool,
 ) {
-    let shard = spec.plan.shard;
+    let recover = spec.recover.take();
     let paths = spec.plan.topo.shortest_paths();
-    let mut engine = Engine::new(&spec.plan.topo, &paths, Vec::new(), spec.config);
-    let mut faults = spec.faults;
-    let mut next_live_slot = 0u64;
-    let mut seen_latencies = 0usize;
-    #[cfg(feature = "lifecycle")]
-    let mut life = spec.life_ring.clone().map(|ring| LifeTracker {
-        ring,
-        ids: spec
-            .recover
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.life_ids.clone()),
-        seen: 0,
-        emit_from: spec.recover.as_ref().map_or(0, |r| r.life_from),
-    });
-    #[cfg(feature = "lifecycle")]
-    if life.is_some() {
-        engine.enable_trace(LIFE_TRACE_CAP);
+    let mut worker = Worker::new(&spec, &paths, policy, replies, abandoned);
+    if let Some(recover) = recover {
+        if !worker.catch_up(recover) {
+            return;
+        }
     }
-    // Stall accounting is always on (it feeds live gauges only). The
-    // gauges are cumulative across restarts: a replacement worker picks
-    // up the totals its predecessor left behind. Three buckets partition
-    // the loop time exactly: work (executing leased slots), mailbox-wait
-    // (handling inject/extract/absorb traffic), and watermark-wait
-    // (blocked on the mailbox until the coordinator extends the lease).
-    let mut work_ms = spec.stall.as_ref().map_or(0.0, |p| p.work_ms.get());
-    let mut mailbox_ms = spec.stall.as_ref().map_or(0.0, |p| p.mailbox_ms.get());
-    let mut watermark_ms = spec.stall.as_ref().map_or(0.0, |p| p.watermark_ms.get());
-    let mut idle_since = std::time::Instant::now();
-    // Blocked-on-mailbox time accumulated since the previous grant
-    // finished; observed once per grant so the histogram measures the
-    // per-lease watermark wait (zero for slots inside a multi-slot grant
-    // — the whole point of run-ahead).
-    let mut grant_wait_ms = 0.0f64;
+    worker.run(commands);
+}
 
-    if let Some(recover) = spec.recover {
+impl<'a> Worker<'a> {
+    fn new(
+        spec: &'a SpawnSpec,
+        paths: &'a PathTable,
+        policy: Box<dyn SlotPolicy + Send>,
+        replies: &'a SyncSender<ShardReply>,
+        abandoned: &'a AtomicBool,
+    ) -> Self {
+        let mut engine = Engine::new(&spec.plan.topo, paths, Vec::new(), spec.config);
+        // Lifecycle tracking reads the engine's event trace.
+        if cfg!(feature = "lifecycle") && spec.taps.life_ring.is_some() {
+            engine.enable_trace(LIFE_TRACE_CAP);
+        }
+        Self {
+            spec,
+            engine,
+            policy,
+            faults: spec.faults.clone(),
+            #[cfg(feature = "lifecycle")]
+            life: spec.taps.life_ring.clone().map(|ring| LifeTracker {
+                ring,
+                ids: Vec::new(),
+                seen: 0,
+                emit_from: 0,
+            }),
+            replies,
+            abandoned,
+            next_live_slot: 0,
+            seen_latencies: 0,
+            grant_wait_ms: 0.0,
+        }
+    }
+
+    fn shard(&self) -> usize {
+        self.spec.plan.shard
+    }
+
+    /// Restores the recovery base, replays handoff events and journaled
+    /// arrivals slot by slot through the catch-up horizon, and answers
+    /// with [`ShardReply::Recovered`]. Returns `false` when the worker
+    /// must exit: the policy failed during replay, or nobody listens.
+    fn catch_up(&mut self, recover: RecoverPlan) -> bool {
+        #[cfg(feature = "lifecycle")]
+        if let Some(life) = self.life.as_mut() {
+            life.ids = recover.life_ids;
+            life.emit_from = recover.life_from;
+        }
         let start = recover.base.next_slot;
-        engine.restore(recover.base);
+        self.engine.restore(recover.base);
         let mut replayed = 0u64;
         let mut journal = recover.journal.into_iter().peekable();
         let mut events = recover.events.into_iter().peekable();
-        let replay_start = std::time::Instant::now();
+        let replay_start = Instant::now();
         for slot in start..=recover.through {
             // Handoffs recorded at (or somehow before) this slot re-apply
             // first: live handoffs run at the top of a slot, before that
             // slot's dispatch phase.
-            while events.peek().is_some_and(|e| e.slot() <= slot) {
-                match events.next() {
-                    Some(HandoffEvent::Extract { station, .. }) => {
-                        engine.extract_station(station);
-                    }
-                    Some(HandoffEvent::Absorb {
-                        slice, home, ids, ..
-                    }) => {
-                        #[cfg(feature = "lifecycle")]
-                        if let Some(life) = life.as_mut() {
-                            life.note_absorb(slice.jobs.len(), &ids);
-                        }
-                        #[cfg(not(feature = "lifecycle"))]
-                        let _ = &ids;
-                        engine.absorb_station(&slice, home);
-                    }
-                    None => unreachable!("peeked event vanished"),
-                }
+            while let Some(event) = events.next_if(|e| e.slot() <= slot) {
+                self.apply_handoff(event);
             }
             // Entries recorded at or before this slot enter the engine
             // now; `inject` clamps the arrival to the current slot exactly
             // as the original live injection did.
-            while journal.peek().is_some_and(|(s, _)| *s <= slot) {
-                if let Some((_, request)) = journal.next() {
-                    #[cfg(feature = "lifecycle")]
-                    if let Some(life) = life.as_mut() {
-                        life.note_inject(&request);
-                    }
-                    engine.inject(request);
-                    replayed += 1;
-                }
+            while let Some((_, request)) = journal.next_if(|(s, _)| *s <= slot) {
+                self.inject(request);
+                replayed += 1;
             }
-            if let Err(e) = engine.step(policy.as_mut()) {
-                let _ = reply_tx.send(ShardReply::Error(format!(
-                    "shard {shard} failed during replay of slot {slot}: {e}"
+            if let Err(e) = self.engine.step(self.policy.as_mut()) {
+                let _ = self.replies.send(ShardReply::Error(format!(
+                    "shard {} failed during replay of slot {slot}: {e}",
+                    self.shard()
                 )));
-                return;
+                return false;
             }
         }
-        // Leftovers past the catch-up horizon (defensive — the supervisor
-        // records handoff events only at slots it has already replayed or
-        // will deliver live, so this loop is normally empty).
+        // Leftovers past the catch-up horizon: handoff events (defensive —
+        // the supervisor records them only at slots it has already
+        // replayed or will deliver live, so this is normally empty), then
+        // arrivals buffered while the shard was down whose admission slot
+        // lies past the horizon.
         for event in events {
-            match event {
-                HandoffEvent::Extract { station, .. } => {
-                    engine.extract_station(station);
-                }
-                HandoffEvent::Absorb {
-                    slice, home, ids, ..
-                } => {
-                    #[cfg(feature = "lifecycle")]
-                    if let Some(life) = life.as_mut() {
-                        life.note_absorb(slice.jobs.len(), &ids);
-                    }
-                    #[cfg(not(feature = "lifecycle"))]
-                    let _ = &ids;
-                    engine.absorb_station(&slice, home);
-                }
-            }
+            self.apply_handoff(event);
         }
-        // Arrivals buffered while the shard was down but not yet due for a
-        // replayed tick (admission slot past the catch-up horizon).
         for (_, request) in journal {
-            #[cfg(feature = "lifecycle")]
-            if let Some(life) = life.as_mut() {
-                life.note_inject(&request);
-            }
-            engine.inject(request);
+            self.inject(request);
             replayed += 1;
         }
         // Catch-up replay is engine work; count it so the work/wait split
         // stays honest across restarts.
-        if let Some(probe) = &spec.stall {
-            work_ms += replay_start.elapsed().as_secs_f64() * 1e3;
-            probe.work_ms.set(work_ms);
-        }
+        self.charge(Stall::Work, replay_start);
         // Records for slots the dead worker already emitted are skipped
         // (`life_from`); the rest — slots missed during the outage — enter
-        // the ring now and drain at the next barrier.
+        // the ring now and drain at the next fold.
         #[cfg(feature = "lifecycle")]
-        if let Some(life) = life.as_mut() {
-            life.drain(&engine, shard, &spec.plan);
+        if let Some(life) = self.life.as_mut() {
+            life.drain(&self.engine, &self.spec.plan);
         }
-        next_live_slot = if recover.through >= start {
+        self.next_live_slot = if recover.through >= start {
             recover.through + 1
         } else {
             start
         };
-        let metrics = engine.metrics();
-        seen_latencies = metrics.latencies_ms().len();
+        let metrics = self.engine.metrics();
+        self.seen_latencies = metrics.latencies_ms().len();
         let recovered = ShardRecovered {
-            shard,
-            backlog: engine.backlog(),
-            total_reward: metrics.total_reward(),
-            completed: metrics.completed(),
-            expired: metrics.expired(),
-            aborted: metrics.aborted(),
+            backlog: self.engine.backlog(),
+            totals: ShardTotals::of(metrics),
             latencies: metrics.latencies_ms().to_vec(),
             replayed,
         };
-        if reply_tx.send(ShardReply::Recovered(recovered)).is_err() {
-            return;
+        self.replies.send(ShardReply::Recovered(recovered)).is_ok()
+    }
+
+    /// The command loop: mailbox traffic and leases until `Finish`, a
+    /// fatal error, or a closed mailbox.
+    fn run(&mut self, commands: Receiver<ShardCommand>) {
+        // The probe attaches only for live ticks: catch-up replay
+        // re-executes slots whose learner events the dead worker already
+        // delivered, so probing during replay would double-count rewards
+        // downstream.
+        if self.spec.taps.probe {
+            self.policy.set_probe(true);
         }
-    }
-
-    // The probe attaches only for live ticks: catch-up replay re-executes
-    // slots whose learner events the dead worker already delivered, so
-    // probing during replay would double-count rewards downstream.
-    if spec.probe {
-        policy.set_probe(true);
-    }
-
-    for cmd in cmd_rx {
-        // Time since the last command finished was spent blocked on the
-        // mailbox; it accrues to the watermark bucket when the next grant
-        // arrives (mailbox traffic between grants is measured separately).
-        grant_wait_ms += idle_since.elapsed().as_secs_f64() * 1e3;
-        match cmd {
-            ShardCommand::Inject(request) => {
-                let handling = std::time::Instant::now();
-                #[cfg(feature = "lifecycle")]
-                if let Some(life) = life.as_mut() {
-                    life.note_inject(&request);
+        let mut idle_since = Instant::now();
+        for cmd in commands {
+            // Time since the last command finished was spent blocked on
+            // the mailbox; it accrues to the watermark bucket when the
+            // next grant arrives.
+            let started = Instant::now();
+            self.grant_wait_ms += (started - idle_since).as_secs_f64() * 1e3;
+            let bucket = match cmd {
+                ShardCommand::Inject(request) => {
+                    self.inject(request);
+                    Stall::Mailbox
                 }
-                engine.inject(request);
-                if let Some(probe) = &spec.stall {
-                    mailbox_ms += handling.elapsed().as_secs_f64() * 1e3;
-                    probe.mailbox_ms.set(mailbox_ms);
-                }
-            }
-            ShardCommand::ExtractStation(station) => {
-                let handling = std::time::Instant::now();
-                let slice = engine.extract_station(station);
-                // Report the departing jobs' global ids so the receiving
-                // shard can keep attributing lifecycle records to them.
-                #[cfg(feature = "lifecycle")]
-                let ids = life.as_ref().map_or_else(Vec::new, |l| {
-                    slice.jobs.iter().map(|j| l.global(j.id())).collect()
-                });
-                #[cfg(not(feature = "lifecycle"))]
-                let ids = Vec::new();
-                if reply_tx
-                    .send(ShardReply::Extracted(Box::new(slice), ids))
-                    .is_err()
-                {
-                    return;
-                }
-                if let Some(probe) = &spec.stall {
-                    mailbox_ms += handling.elapsed().as_secs_f64() * 1e3;
-                    probe.mailbox_ms.set(mailbox_ms);
-                }
-            }
-            ShardCommand::AbsorbStation(slice, home, ids) => {
-                let handling = std::time::Instant::now();
-                #[cfg(feature = "lifecycle")]
-                if let Some(life) = life.as_mut() {
-                    life.note_absorb(slice.jobs.len(), &ids);
-                }
-                #[cfg(not(feature = "lifecycle"))]
-                let _ = &ids;
-                engine.absorb_station(&slice, home);
-                if let Some(probe) = &spec.stall {
-                    mailbox_ms += handling.elapsed().as_secs_f64() * 1e3;
-                    probe.mailbox_ms.set(mailbox_ms);
-                }
-            }
-            ShardCommand::Grant { through } => {
-                // Everything blocked-on-mailbox since the previous grant
-                // completed was spent waiting for the coordinator to
-                // advance the watermark and extend the lease.
-                if let Some(probe) = &spec.stall {
-                    watermark_ms += grant_wait_ms;
-                    probe.watermark_ms.set(watermark_ms);
-                    probe.wait_hist.observe(grant_wait_ms);
-                }
-                grant_wait_ms = 0.0;
-                // Work covers the whole leased span — engine steps plus
-                // checkpoint/telemetry/event assembly — so work + mailbox
-                // + watermark partitions the worker's loop time exactly
-                // (the report checks the per-shard sum against driver
-                // wall time).
-                let busy_since = std::time::Instant::now();
-                while next_live_slot <= through {
-                    mec_obs::prof_scope!("serve.shard_tick");
-                    if let Some(pos) = faults.iter().position(|f| f.slot == next_live_slot) {
-                        let fault = faults.remove(pos);
-                        // Emitted before the fault fires so even a crash
-                        // (the panic below) leaves its injection in the
-                        // trace.
-                        mec_obs::event!(
-                            spec.ring,
-                            next_live_slot,
-                            "fault_injected",
-                            shard = shard,
-                            fault = match fault.kind {
-                                FaultKind::Crash => "crash",
-                                FaultKind::Stall => "stall",
-                                FaultKind::Slow { .. } => "slow",
-                            },
-                        );
-                        match fault.kind {
-                            FaultKind::Crash => {
-                                panic!(
-                                    "chaos: injected crash in shard {shard} at slot {}",
-                                    fault.slot
-                                );
-                            }
-                            FaultKind::Stall => {
-                                // Stop reporting without exiting: only the
-                                // coordinator's fold deadline can see
-                                // this. Park until the supervisor abandons
-                                // the handle.
-                                while !abandoned.load(Ordering::Acquire) {
-                                    std::thread::park_timeout(Duration::from_millis(5));
-                                }
-                                return;
-                            }
-                            FaultKind::Slow { ms } => {
-                                std::thread::sleep(Duration::from_millis(ms));
-                            }
-                        }
-                    }
-                    let report = match mec_obs::span!(spec.step_hist, engine.step(policy.as_mut()))
-                    {
-                        Ok(report) => report,
-                        Err(e) => {
-                            let _ = spec.progress.send(ShardProgress {
-                                shard,
-                                gen: spec.gen,
-                                event: ShardEvent::Error(format!("shard {shard}: {e}")),
-                            });
-                            return;
-                        }
-                    };
-                    next_live_slot = report.slot + 1;
-                    let checkpoint = (spec.checkpoint_every > 0
-                        && next_live_slot.is_multiple_of(spec.checkpoint_every))
-                    .then(|| engine.checkpoint());
-                    let telemetry = (spec.telemetry_every > 0
-                        && next_live_slot.is_multiple_of(spec.telemetry_every))
-                    .then(|| policy.telemetry())
-                    .flatten()
-                    .map(Box::new);
-                    let metrics = engine.metrics();
-                    let latencies = metrics.latencies_ms();
-                    let new_latencies = latencies[seen_latencies..].to_vec();
-                    seen_latencies = latencies.len();
-                    #[cfg(feature = "lifecycle")]
-                    {
-                        let completed_ids = life
-                            .as_mut()
-                            .map_or_else(Vec::new, |l| l.drain(&engine, shard, &spec.plan));
-                        // Latencies append in completion order, so this
-                        // slot's tail zips 1:1 with this slot's completed
-                        // ids — attach them as histogram exemplars.
-                        if let Some(hist) = &spec.fine_hist {
-                            for (lat, id) in new_latencies.iter().zip(&completed_ids) {
-                                hist.note_exemplar(*lat, *id);
-                            }
-                        }
-                    }
-                    let (learner_events, probe_dropped, decision, solve_times_ms) = if spec.probe {
-                        (
-                            policy.drain_learner_events(),
-                            policy.probe_dropped(),
-                            policy.last_decision(),
-                            policy.drain_solve_times_ms(),
-                        )
-                    } else {
-                        (Vec::new(), 0, None, Vec::new())
-                    };
-                    let tick = ShardTick {
-                        shard,
-                        report,
-                        backlog: engine.backlog(),
-                        total_reward: metrics.total_reward(),
-                        completed: metrics.completed(),
-                        expired: metrics.expired(),
-                        aborted: metrics.aborted(),
-                        new_latencies,
-                        checkpoint,
-                        telemetry,
-                        learner_events,
-                        probe_dropped,
-                        decision,
-                        solve_times_ms,
-                    };
-                    let progressed = spec.progress.send(ShardProgress {
-                        shard,
-                        gen: spec.gen,
-                        event: ShardEvent::Tick(tick),
-                    });
-                    if progressed.is_err() {
+                ShardCommand::ExtractStation(station) => {
+                    if !self.extract(station) {
                         return;
                     }
+                    Stall::Mailbox
                 }
-                if let Some(probe) = &spec.stall {
-                    work_ms += busy_since.elapsed().as_secs_f64() * 1e3;
-                    probe.work_ms.set(work_ms);
+                ShardCommand::AbsorbStation(slice, home, ids) => {
+                    self.absorb(&slice, home, &ids);
+                    Stall::Mailbox
                 }
+                ShardCommand::Grant { through } => {
+                    self.lease_granted();
+                    if !self.run_lease(through) {
+                        return;
+                    }
+                    Stall::Work
+                }
+                ShardCommand::Finish => return self.finish(),
+            };
+            self.charge(bucket, started);
+            idle_since = Instant::now();
+        }
+    }
+
+    /// Feeds one request to the engine, recording its global id first:
+    /// the engine assigns local ids densely in inject order.
+    fn inject(&mut self, request: Request) {
+        #[cfg(feature = "lifecycle")]
+        if let Some(life) = self.life.as_mut() {
+            life.note_inject(&request);
+        }
+        self.engine.inject(request);
+    }
+
+    /// Continues the jobs of a slice extracted elsewhere on shard-local
+    /// station `home`, recording their global ids (`ids`, in slice
+    /// order) first.
+    fn absorb(&mut self, slice: &StationSlice, home: StationId, ids: &[u64]) {
+        #[cfg(feature = "lifecycle")]
+        if let Some(life) = self.life.as_mut() {
+            life.note_absorb(slice.jobs.len(), ids);
+        }
+        #[cfg(not(feature = "lifecycle"))]
+        let _ = ids;
+        self.engine.absorb_station(slice, home);
+    }
+
+    /// Re-applies one recorded handoff during catch-up. A re-extracted
+    /// slice is discarded: the takeover shard replays its own absorb.
+    fn apply_handoff(&mut self, event: HandoffEvent) {
+        match event {
+            HandoffEvent::Extract { station, .. } => {
+                self.engine.extract_station(station);
             }
-            ShardCommand::Finish => {
-                let metrics = engine.finish();
-                let _ = reply_tx.send(ShardReply::Final(ShardFinal { shard, metrics }));
-                return;
+            HandoffEvent::Absorb {
+                slice, home, ids, ..
+            } => self.absorb(&slice, home, &ids),
+        }
+    }
+
+    /// Extracts a station's in-flight jobs and replies with the slice and
+    /// the jobs' global ids, so the receiving shard can keep attributing
+    /// lifecycle records to them. Returns `false` when nobody listens.
+    fn extract(&mut self, station: StationId) -> bool {
+        let slice = self.engine.extract_station(station);
+        #[cfg(feature = "lifecycle")]
+        let ids = self.life.as_ref().map_or_else(Vec::new, |l| {
+            slice.jobs.iter().map(|j| l.global(j.id())).collect()
+        });
+        #[cfg(not(feature = "lifecycle"))]
+        let ids = Vec::new();
+        self.replies
+            .send(ShardReply::Extracted(Box::new(slice), ids))
+            .is_ok()
+    }
+
+    /// Executes every slot up to and including `through`, streaming one
+    /// tick per slot on the progress plane. Returns `false` when the
+    /// worker must exit: a policy error, a stall fault, or nobody
+    /// listens.
+    fn run_lease(&mut self, through: u64) -> bool {
+        while self.next_live_slot <= through {
+            mec_obs::prof_scope!("serve.shard_tick");
+            if !self.fire_fault() {
+                return false;
+            }
+            let stepped = mec_obs::span!(
+                self.spec.taps.step_hist,
+                self.engine.step(self.policy.as_mut())
+            );
+            let event = match stepped {
+                Ok(report) => ShardEvent::Tick(self.tick(report)),
+                Err(e) => {
+                    self.progress(ShardEvent::Error(format!("shard {}: {e}", self.shard())));
+                    return false;
+                }
+            };
+            if !self.progress(event) {
+                return false;
             }
         }
-        idle_since = std::time::Instant::now();
+        true
+    }
+
+    /// Fires the scripted fault armed for the next live slot, if any.
+    /// Returns `false` once a stall fault has parked the worker until the
+    /// supervisor abandoned it.
+    fn fire_fault(&mut self) -> bool {
+        let slot = self.next_live_slot;
+        let Some(pos) = self.faults.iter().position(|f| f.slot == slot) else {
+            return true;
+        };
+        let fault = self.faults.remove(pos);
+        let shard = self.shard();
+        // Emitted before the fault fires so even a crash (the panic
+        // below) leaves its injection in the trace.
+        mec_obs::event!(
+            self.spec.taps.ring,
+            slot,
+            "fault_injected",
+            shard = shard,
+            fault = match fault.kind {
+                FaultKind::Crash => "crash",
+                FaultKind::Stall => "stall",
+                FaultKind::Slow { .. } => "slow",
+            },
+        );
+        match fault.kind {
+            FaultKind::Crash => panic!("chaos: injected crash in shard {shard} at slot {slot}"),
+            FaultKind::Stall => {
+                // Stop reporting without exiting: only the coordinator's
+                // fold deadline can see this. Park until the supervisor
+                // abandons the handle.
+                while !self.abandoned.load(Ordering::Acquire) {
+                    std::thread::park_timeout(Duration::from_millis(5));
+                }
+                false
+            }
+            FaultKind::Slow { ms } => {
+                std::thread::sleep(Duration::from_millis(ms));
+                true
+            }
+        }
+    }
+
+    /// Assembles the report for the slot just stepped: cumulative
+    /// counters, the new latency samples, and the checkpoint, telemetry
+    /// and probe payloads due this slot.
+    fn tick(&mut self, report: SlotReport) -> ShardTick {
+        self.next_live_slot = report.slot + 1;
+        let due = |every: u64| every > 0 && self.next_live_slot.is_multiple_of(every);
+        let checkpoint = due(self.spec.checkpoint_every).then(|| self.engine.checkpoint());
+        let telemetry = due(self.spec.taps.telemetry_every)
+            .then(|| self.policy.telemetry())
+            .flatten()
+            .map(Box::new);
+        let metrics = self.engine.metrics();
+        let latencies = metrics.latencies_ms();
+        let new_latencies = latencies[self.seen_latencies..].to_vec();
+        self.seen_latencies = latencies.len();
+        #[cfg(feature = "lifecycle")]
+        {
+            let completed_ids = self
+                .life
+                .as_mut()
+                .map_or_else(Vec::new, |l| l.drain(&self.engine, &self.spec.plan));
+            // Latencies append in completion order, so this slot's tail
+            // zips 1:1 with this slot's completed ids — attach them as
+            // histogram exemplars.
+            if let Some(hist) = &self.spec.taps.fine_hist {
+                for (lat, id) in new_latencies.iter().zip(&completed_ids) {
+                    hist.note_exemplar(*lat, *id);
+                }
+            }
+        }
+        let (learner_events, probe_dropped, decision, solve_times_ms) = if self.spec.taps.probe {
+            (
+                self.policy.drain_learner_events(),
+                self.policy.probe_dropped(),
+                self.policy.last_decision(),
+                self.policy.drain_solve_times_ms(),
+            )
+        } else {
+            (Vec::new(), 0, None, Vec::new())
+        };
+        ShardTick {
+            shard: self.shard(),
+            report,
+            backlog: self.engine.backlog(),
+            totals: ShardTotals::of(metrics),
+            new_latencies,
+            checkpoint,
+            telemetry,
+            learner_events,
+            probe_dropped,
+            decision,
+            solve_times_ms,
+        }
+    }
+
+    /// Posts one event on the progress plane; `false` when nobody listens.
+    fn progress(&self, event: ShardEvent) -> bool {
+        self.spec
+            .progress
+            .send(ShardProgress {
+                shard: self.shard(),
+                gen: self.spec.gen,
+                event,
+            })
+            .is_ok()
+    }
+
+    /// Flushes terminal accounting and replies with [`ShardReply::Final`].
+    fn finish(&mut self) {
+        let _ = self.replies.send(ShardReply::Final(self.engine.finish()));
+    }
+
+    /// Everything blocked on the mailbox since the previous grant
+    /// completed was spent waiting for the coordinator to advance the
+    /// watermark and extend the lease.
+    fn lease_granted(&mut self) {
+        if let Some(probe) = &self.spec.taps.stall {
+            probe
+                .watermark_ms
+                .set(probe.watermark_ms.get() + self.grant_wait_ms);
+            probe.wait_hist.observe(self.grant_wait_ms);
+        }
+        self.grant_wait_ms = 0.0;
+    }
+
+    /// Charges the wall time since `since` to a stall bucket. The gauges
+    /// are cumulative and outlive the worker, so a replacement continues
+    /// from the totals its predecessor left behind.
+    fn charge(&self, bucket: Stall, since: Instant) {
+        if let Some(probe) = &self.spec.taps.stall {
+            let gauge = match bucket {
+                Stall::Work => &probe.work_ms,
+                Stall::Mailbox => &probe.mailbox_ms,
+            };
+            gauge.set(gauge.get() + since.elapsed().as_secs_f64() * 1e3);
+        }
     }
 }
 
@@ -842,50 +918,11 @@ impl ShardHandle {
                 }
             })?;
         Ok(Self {
-            shard,
             cmd_tx,
             reply_rx,
             join: Some(join),
             abandoned,
         })
-    }
-
-    /// Convenience cold-start spawn with no chaos, no checkpoints, and no
-    /// recovery — the pre-fault-tolerance behaviour. Creates a private
-    /// progress channel and returns its receiving end alongside the
-    /// handle.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the OS refuses to spawn the thread.
-    pub fn spawn_fresh(
-        plan: ShardPlan,
-        config: SlotConfig,
-        policy: Box<dyn SlotPolicy + Send>,
-        command_bound: usize,
-    ) -> std::io::Result<(Self, Receiver<ShardProgress>)> {
-        let (progress, events) = std::sync::mpsc::channel();
-        let handle = Self::spawn(
-            SpawnSpec {
-                plan,
-                config,
-                command_bound,
-                checkpoint_every: 0,
-                faults: Vec::new(),
-                recover: None,
-                progress,
-                gen: 0,
-                ring: None,
-                step_hist: None,
-                telemetry_every: 0,
-                life_ring: None,
-                stall: None,
-                fine_hist: None,
-                probe: false,
-            },
-            policy,
-        )?;
-        Ok((handle, events))
     }
 
     /// Sends a command; blocks when the bounded queue is full.
@@ -906,16 +943,11 @@ impl ShardHandle {
         self.reply_rx.recv()
     }
 
-    /// Receives the next reply, giving up after `timeout`. A timeout means
-    /// the worker is stalled (or merely slow); the supervisor decides.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvTimeoutError::Timeout`] if no reply arrived in time;
-    /// [`RecvTimeoutError::Disconnected`] if the worker exited without
-    /// replying (crash).
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<ShardReply, RecvTimeoutError> {
-        self.reply_rx.recv_timeout(timeout)
+    /// Receives the next reply, giving up after `timeout_ms` (0 waits
+    /// forever). `None` means the worker is stalled (or merely slow) or
+    /// exited without replying; the supervisor decides.
+    pub fn recv_within(&self, timeout_ms: u64) -> Option<ShardReply> {
+        recv_within(&self.reply_rx, timeout_ms)
     }
 
     /// Waits for the worker thread to exit. Dropping the handle without
@@ -953,6 +985,16 @@ impl Drop for ShardHandle {
     }
 }
 
+/// Receives from `rx`, giving up after `timeout_ms` (0 waits forever).
+/// `None` on timeout or disconnect.
+pub(crate) fn recv_within<T>(rx: &Receiver<T>, timeout_ms: u64) -> Option<T> {
+    if timeout_ms > 0 {
+        rx.recv_timeout(Duration::from_millis(timeout_ms)).ok()
+    } else {
+        rx.recv().ok()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,6 +1002,34 @@ mod tests {
     use crate::policy::policy_from_name;
     use mec_topology::TopologyBuilder;
     use mec_workload::WorkloadBuilder;
+    use std::sync::mpsc::RecvTimeoutError;
+
+    /// A cold-start spec with no chaos, no checkpoints, no recovery and
+    /// nothing attached, streaming into `progress`.
+    fn spec(plan: ShardPlan, command_bound: usize, progress: Sender<ShardProgress>) -> SpawnSpec {
+        SpawnSpec {
+            plan,
+            config: SlotConfig::default(),
+            command_bound,
+            checkpoint_every: 0,
+            faults: Vec::new(),
+            recover: None,
+            progress,
+            gen: 0,
+            taps: ShardTaps::default(),
+        }
+    }
+
+    /// Spawns a cold-start worker with a private progress channel.
+    fn spawn_fresh(
+        plan: ShardPlan,
+        policy: Box<dyn SlotPolicy + Send>,
+        command_bound: usize,
+    ) -> (ShardHandle, Receiver<ShardProgress>) {
+        let (progress, events) = std::sync::mpsc::channel();
+        let spec = spec(plan, command_bound, progress);
+        (ShardHandle::spawn(spec, policy).unwrap(), events)
+    }
 
     #[test]
     fn inject_grant_finish_roundtrip() {
@@ -967,8 +1037,7 @@ mod tests {
         let plan = partition(&topo, 1).remove(0);
         let requests = WorkloadBuilder::new(&topo).seed(3).count(20).build();
         let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
-        let (handle, events) =
-            ShardHandle::spawn_fresh(plan, SlotConfig::default(), policy, 64).unwrap();
+        let (handle, events) = spawn_fresh(plan, policy, 64);
         for r in requests {
             handle.send(ShardCommand::Inject(r)).unwrap();
         }
@@ -993,12 +1062,12 @@ mod tests {
         assert_eq!(backlog, 0, "20 requests should drain within 100 slots");
         handle.send(ShardCommand::Finish).unwrap();
         match handle.recv().unwrap() {
-            ShardReply::Final(fin) => {
+            ShardReply::Final(metrics) => {
                 assert_eq!(
-                    fin.metrics.completed()
-                        + fin.metrics.expired()
-                        + fin.metrics.aborted()
-                        + fin.metrics.unserved(),
+                    metrics.completed()
+                        + metrics.expired()
+                        + metrics.aborted()
+                        + metrics.unserved(),
                     20
                 );
             }
@@ -1033,8 +1102,7 @@ mod tests {
         let topo = TopologyBuilder::new(6).seed(9).build();
         let plan = partition(&topo, 1).remove(0);
         let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
-        let (handle, events) =
-            ShardHandle::spawn_fresh(plan, SlotConfig::default(), policy, 16).unwrap();
+        let (handle, events) = spawn_fresh(plan, policy, 16);
         let ticks = drive(&handle, &events, 0, 5);
         assert_eq!(ticks.last().unwrap().report.slot, 4);
         // A non-extending lease executes nothing: no stray tick events.
@@ -1052,21 +1120,8 @@ mod tests {
         let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
-            plan,
-            config: SlotConfig::default(),
-            command_bound: 16,
             checkpoint_every: 4,
-            faults: Vec::new(),
-            recover: None,
-            progress,
-            gen: 0,
-            ring: None,
-            step_hist: None,
-            telemetry_every: 0,
-            life_ring: None,
-            stall: None,
-            fine_hist: None,
-            probe: false,
+            ..spec(plan, 16, progress)
         };
         let handle = ShardHandle::spawn(spec, policy).unwrap();
         let ticks = drive(&handle, &events, 0, 9);
@@ -1086,13 +1141,11 @@ mod tests {
         let topo = TopologyBuilder::new(8).seed(11).build();
         let plan = partition(&topo, 1).remove(0);
         let requests = WorkloadBuilder::new(&topo).seed(11).count(15).build();
-        let config = SlotConfig::default();
 
         // Reference: one worker runs 40 slots straight through.
         let reference = {
             let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
-            let (handle, events) =
-                ShardHandle::spawn_fresh(plan.clone(), config, policy, 64).unwrap();
+            let (handle, events) = spawn_fresh(plan.clone(), policy, 64);
             for r in requests.clone() {
                 handle.send(ShardCommand::Inject(r)).unwrap();
             }
@@ -1109,11 +1162,6 @@ mod tests {
         let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
-            plan: plan.clone(),
-            config,
-            command_bound: 64,
-            checkpoint_every: 0,
-            faults: Vec::new(),
             recover: Some(RecoverPlan {
                 base: EngineState::genesis(plan.topo.station_count()),
                 journal,
@@ -1122,15 +1170,8 @@ mod tests {
                 life_from: 0,
                 life_ids: Vec::new(),
             }),
-            progress,
             gen: 1,
-            ring: None,
-            step_hist: None,
-            telemetry_every: 0,
-            life_ring: None,
-            stall: None,
-            fine_hist: None,
-            probe: false,
+            ..spec(plan.clone(), 64, progress)
         };
         let handle = ShardHandle::spawn(spec, policy).unwrap();
         let recovered = match handle.recv().unwrap() {
@@ -1142,8 +1183,8 @@ mod tests {
         let last = ticks.last().unwrap();
         assert_eq!(last.report.slot, reference.report.slot);
         assert_eq!(last.backlog, reference.backlog);
-        assert_eq!(last.total_reward, reference.total_reward);
-        assert_eq!(last.completed, reference.completed);
+        assert_eq!(last.totals.total_reward, reference.totals.total_reward);
+        assert_eq!(last.totals.completed, reference.totals.completed);
         handle.send(ShardCommand::Finish).unwrap();
         handle.join();
     }
@@ -1156,21 +1197,11 @@ mod tests {
         let policy = policy_from_name("DynamicRR", 100, mec_core::SolverKind::default()).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
-            plan,
-            config: SlotConfig::default(),
-            command_bound: 64,
-            checkpoint_every: 0,
-            faults: Vec::new(),
-            recover: None,
-            progress,
-            gen: 0,
-            ring: None,
-            step_hist: None,
-            telemetry_every: 0,
-            life_ring: None,
-            stall: None,
-            fine_hist: None,
-            probe: true,
+            taps: ShardTaps {
+                probe: true,
+                ..ShardTaps::default()
+            },
+            ..spec(plan, 64, progress)
         };
         let handle = ShardHandle::spawn(spec, policy).unwrap();
         for r in requests {
@@ -1200,8 +1231,7 @@ mod tests {
         let topo = TopologyBuilder::new(8).seed(5).build();
         let plan = partition(&topo, 1).remove(0);
         let policy = policy_from_name("DynamicRR", 100, mec_core::SolverKind::default()).unwrap();
-        let (handle, events) =
-            ShardHandle::spawn_fresh(plan, SlotConfig::default(), policy, 64).unwrap();
+        let (handle, events) = spawn_fresh(plan, policy, 64);
         for tick in drive(&handle, &events, 0, 5) {
             assert!(tick.learner_events.is_empty());
             assert_eq!(tick.probe_dropped, 0);
@@ -1219,24 +1249,11 @@ mod tests {
         let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
-            plan,
-            config: SlotConfig::default(),
-            command_bound: 8,
-            checkpoint_every: 0,
             faults: vec![ShardFault {
                 slot: 2,
                 kind: FaultKind::Stall,
             }],
-            recover: None,
-            progress,
-            gen: 0,
-            ring: None,
-            step_hist: None,
-            telemetry_every: 0,
-            life_ring: None,
-            stall: None,
-            fine_hist: None,
-            probe: false,
+            ..spec(plan, 8, progress)
         };
         let handle = ShardHandle::spawn(spec, policy).unwrap();
         drive(&handle, &events, 0, 2);
@@ -1261,24 +1278,11 @@ mod tests {
         let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
         let (progress, events) = std::sync::mpsc::channel();
         let spec = SpawnSpec {
-            plan,
-            config: SlotConfig::default(),
-            command_bound: 8,
-            checkpoint_every: 0,
             faults: vec![ShardFault {
                 slot: 3,
                 kind: FaultKind::Crash,
             }],
-            recover: None,
-            progress,
-            gen: 0,
-            ring: None,
-            step_hist: None,
-            telemetry_every: 0,
-            life_ring: None,
-            stall: None,
-            fine_hist: None,
-            probe: false,
+            ..spec(plan, 8, progress)
         };
         let handle = ShardHandle::spawn(spec, policy).unwrap();
         // Lease past the crash slot: ticks 0..=2 stream, then the spawn

@@ -1,7 +1,8 @@
 //! Serve-level acceptance tests for the `prof` feature: a profiled run
-//! must surface both driver phases (dispatch, barrier) and worker
-//! phases (shard tick, engine step) after the shard threads join, and
-//! profiling must not perturb the deterministic snapshot stream.
+//! must surface both driver phases (dispatch, grant, fold wait, fold)
+//! and worker phases (shard tick, engine step) after the shard threads
+//! join, and profiling must not perturb the deterministic snapshot
+//! stream.
 //!
 //! Gated by `required-features = ["prof"]` — run with
 //! `cargo test -p mec-serve --features prof --test prof`.
@@ -57,7 +58,9 @@ fn profiled_serve_reports_driver_and_worker_phases() {
     // thread-local trees must already be merged into the report.
     for phase in [
         "serve.dispatch",
-        "serve.barrier",
+        "serve.grant",
+        "serve.fold_wait",
+        "serve.fold",
         "serve.shard_tick",
         "engine.step",
     ] {
