@@ -2,7 +2,7 @@
 //! virtual-clock replay per iteration at 4 shards, with and without a
 //! lifecycle sink attached. Both arms compile the `lifecycle` feature —
 //! the comparison prices the *attached* path (per-request records
-//! drained at every barrier, latency exemplars, id-map upkeep) against
+//! drained at every fold, latency exemplars, id-map upkeep) against
 //! the dormant one (every record site short-circuits on a `None` ring).
 //! The acceptance budget for the attached arm is +5% over detached.
 

@@ -3,7 +3,7 @@
 //! Scrapes `/healthz`, `/metrics.json`, `/slo.json`, and `/learning.json`
 //! over plain TCP and renders one compact frame: run header (uptime,
 //! slot), the admission funnel with rates, the per-shard work vs
-//! barrier-wait split, fine-grained latency quantiles, live SLO
+//! watermark-wait split, fine-grained latency quantiles, live SLO
 //! burn-rate state, and — when a learner probe is attached — a learner
 //! panel with one sparkline of arm means per shard, eliminated arms
 //! marked `·`, and live cumulative regret.

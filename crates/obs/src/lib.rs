@@ -29,7 +29,7 @@
 //! deterministic quantities — virtual slots, event counts, rewards.
 //! Wall-clock timings ([`span!`]) go to live histograms only and must
 //! never cross into snapshots or the trace; the supervisor drains
-//! worker [`TraceRing`]s at the slot barrier in shard order, so a traced
+//! worker [`TraceRing`]s at each watermark fold in shard order, so a traced
 //! run replayed with the same seed yields an identical event stream.
 //!
 //! ## Example

@@ -7,7 +7,7 @@
 //! fixed seed. The driver writes its stages (admission, placement,
 //! handoff) directly; each shard worker records serve-side stages
 //! (start, complete, expire, abort) into a bounded [`LifecycleRing`]
-//! that the driver drains at the slot barrier in shard order, exactly
+//! that the driver drains at each watermark fold in shard order, exactly
 //! like the trace rings. A [`LifecycleWriter`] renders the merged
 //! stream as one JSONL object per record.
 //!

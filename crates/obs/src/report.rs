@@ -194,7 +194,7 @@ pub struct StallShard {
     pub shard: u64,
     /// Total time executing leased slots (ms).
     pub work_ms: f64,
-    /// Total time handling mailbox commands — injections, station
+    /// Total time handling mailbox commands other than grants — station
     /// extract/absorb (ms).
     pub mailbox_ms: f64,
     /// Total time idle waiting for the watermark to extend the lease
@@ -207,7 +207,7 @@ pub struct StallShard {
 pub struct StallDriver {
     /// Wall time of the serve loop (ms).
     pub wall_ms: f64,
-    /// Time spent routing/injecting arrivals (ms).
+    /// Time spent routing and admitting arrivals (ms).
     pub dispatch_ms: f64,
     /// Time spent detecting faults and restarting workers (ms).
     pub recovery_ms: f64,
@@ -216,6 +216,9 @@ pub struct StallDriver {
     pub fold_ms: f64,
     /// Slots the loop ran.
     pub slots: u64,
+    /// Slots dispatched ahead of the fold watermark (0 in traces that
+    /// predate the dispatch front).
+    pub ahead: u64,
 }
 
 /// Final per-arm learner state (from the last `arm_state` sweep).
@@ -483,6 +486,7 @@ where
                     recovery_ms: get_f64(&obj, "recovery_ms"),
                     fold_ms: get_f64(&obj, "fold_ms"),
                     slots: get_u64(&obj, "slots"),
+                    ahead: get_u64(&obj, "ahead"),
                 });
             }
             "trace_drops" => r.trace_dropped += get_u64(&obj, "count"),
@@ -899,7 +903,7 @@ impl RunReport {
         }
 
         if !self.stall_shards.is_empty() || self.stall_driver.is_some() {
-            section(&mut out, "barrier-stall attribution");
+            section(&mut out, "stall attribution");
             let wall = self.stall_driver.map_or(0.0, |d| d.wall_ms);
             if let Some(d) = &self.stall_driver {
                 let _ = writeln!(
@@ -914,6 +918,13 @@ impl RunReport {
                     pct(d.recovery_ms, wall),
                     d.fold_ms,
                     pct(d.fold_ms, wall),
+                );
+                let _ = writeln!(
+                    out,
+                    "  dispatched ahead of the fold watermark: {} of {} slot(s) ({:.1}%)",
+                    d.ahead,
+                    d.slots,
+                    pct(d.ahead as f64, d.slots as f64),
                 );
             }
             let mut work_shares = Vec::new();
@@ -1380,22 +1391,27 @@ mod tests {
     }
 
     #[test]
-    fn stall_events_render_barrier_attribution() {
+    fn stall_events_render_stall_attribution() {
         let lines = [
             r#"{"slot":250,"kind":"stall_shard","shard":0,"work_ms":2000.0,"mailbox_ms":500.0,"watermark_ms":7500.0}"#,
             r#"{"slot":250,"kind":"stall_shard","shard":1,"work_ms":4000.0,"mailbox_ms":0.0,"watermark_ms":6000.0}"#,
-            r#"{"slot":250,"kind":"stall_driver","wall_ms":10000.0,"dispatch_ms":500.0,"recovery_ms":0.0,"fold_ms":9000.0,"slots":250}"#,
+            r#"{"slot":250,"kind":"stall_driver","wall_ms":10000.0,"dispatch_ms":500.0,"recovery_ms":0.0,"fold_ms":9000.0,"slots":250,"ahead":200}"#,
         ];
         let report = build_report(lines.iter().copied()).unwrap();
         assert_eq!(report.stall_shards.len(), 2);
         let d = report.stall_driver.unwrap();
         assert_eq!(d.slots, 250);
         assert_eq!(d.fold_ms, 9000.0);
+        assert_eq!(d.ahead, 200);
 
         let text = report.render();
-        assert!(text.contains("== barrier-stall attribution =="), "{text}");
+        assert!(text.contains("== stall attribution =="), "{text}");
         assert!(
             text.contains("driver wall 10000.0 ms over 250 slot(s)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dispatched ahead of the fold watermark: 200 of 250 slot(s) (80.0%)"),
             "{text}"
         );
         // Shard 0: 20% work + 5% mailbox + 75% watermark, 100% of wall.

@@ -3,7 +3,7 @@
 //! A [`TraceEvent`] is a flat record — a virtual slot, an event kind,
 //! and scalar fields — serialized as one JSON line. Worker threads push
 //! events into a shared [`TraceRing`]; the supervisor drains the rings
-//! at the slot barrier (in shard order) and appends to a
+//! at each watermark fold (in shard order) and appends to a
 //! [`TraceWriter`], so the stream order is a pure function of the run's
 //! deterministic decisions, never of thread scheduling.
 //!
@@ -172,7 +172,7 @@ struct RingInner {
 }
 
 /// A bounded, shareable event buffer: workers push, the supervisor
-/// drains at the slot barrier. When full, the *newest* event is dropped
+/// drains at each watermark fold. When full, the *newest* event is dropped
 /// (and counted) — keeping the prefix preserves causality for whatever
 /// was already recorded.
 #[derive(Clone)]

@@ -9,7 +9,7 @@
 //! ## Architecture
 //!
 //! ```text
-//!            ┌────────────┐  Inject/Grant{through}  ┌─────────────────────┐
+//!            ┌────────────┐ Grant{through,arrivals} ┌─────────────────────┐
 //!  LoadGen ─▶│Coordinator │────────────────────────▶│ Shard 0: Engine+Pol │─┐
 //!            │ (admission │   bounded mailboxes     ├─────────────────────┤ │ ShardEvent::Tick
 //!            │ + watermark│────────────────────────▶│ Shard 1: Engine+Pol │─┤ (shared progress
@@ -39,8 +39,11 @@
 //!   back-to-back, streaming one `ShardEvent::Tick` per slot,
 //!   while the coordinator folds exactly one slot per phase at the
 //!   **watermark** — the slot for which every inbound message has
-//!   provably arrived. Same seed + same shards ⇒ byte-identical results
-//!   for *every* horizon, including 1 (lockstep). See DESIGN.md §17.
+//!   provably arrived. Arrivals ride inside the grants, dispatched up to
+//!   a horizon ahead of the watermark whenever a backlog bound proves
+//!   lockstep would admit them too. Same seed + same shards ⇒
+//!   byte-identical results for *every* horizon, including 1
+//!   (lockstep). See DESIGN.md §17.
 //! * The fan-in aggregator folds per-tick shard reports into periodic
 //!   JSON-serializable [`Snapshot`]s at watermark boundaries.
 //!

@@ -17,8 +17,10 @@
 //! virtual slots, event counts, and rewards. Wall-clock quantities
 //! (`mec_serve_step_ms`) live only in the registry for live scraping.
 //! Worker-side events go through per-shard [`TraceRing`]s that the
-//! driver drains at the slot barrier in shard order, so a traced run
-//! replayed with the same seed yields a byte-identical event stream.
+//! driver drains at each watermark fold in shard order, and driver-side
+//! events of a slot dispatched ahead of the watermark are held until the
+//! watermark reaches that slot, so a traced run replayed with the same
+//! seed yields a byte-identical event stream under every epoch horizon.
 
 use crate::chaos::{DiskFaultKind, DiskFaultSpec, DiskTarget};
 use crate::journal::DiskIncidents;
@@ -33,11 +35,13 @@ use mec_obs::{
     LATENCY_MS_BOUNDS, STEP_MS_BOUNDS,
 };
 use mec_placement::{InstallDone, PlacementState, ReconfigOp};
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Capacity of each worker's event ring — ample for one slot's worth of
-/// fault events between barrier drains.
+/// Capacity of each worker's event ring — ample for a lease's worth of
+/// fault events between watermark drains.
 const RING_CAP: usize = 4_096;
 
 /// Capacity of each worker's lifecycle ring. Lifecycle records are per
@@ -569,9 +573,20 @@ pub(crate) struct ObsState {
     /// coordinator has not folded yet, and emitting them early would make
     /// the trace depend on wall-clock scheduling. Drained in slot order
     /// as the watermark advances.
-    held_events: Vec<std::collections::VecDeque<TraceEvent>>,
+    held_events: Vec<VecDeque<TraceEvent>>,
     /// Same holdback for worker lifecycle records.
-    held_life: Vec<std::collections::VecDeque<LifecycleRecord>>,
+    held_life: Vec<VecDeque<LifecycleRecord>>,
+    /// While set, driver-side events and lifecycle records go to the
+    /// driver holdback instead of the sinks: the coordinator is
+    /// dispatching a slot ahead of the fold watermark.
+    holding: Cell<bool>,
+    /// Driver-side events of slots dispatched ahead, in slot order,
+    /// released when the watermark reaches their slot.
+    held_driver_events: RefCell<VecDeque<TraceEvent>>,
+    /// Same holdback for driver-side lifecycle records.
+    held_driver_life: RefCell<VecDeque<LifecycleRecord>>,
+    /// Slots the coordinator dispatched ahead of the fold watermark.
+    dispatched_ahead: Arc<Counter>,
     /// Per-shard work/mailbox/watermark stall probes (always on, like
     /// the registry).
     stall: Vec<StallProbe>,
@@ -581,7 +596,7 @@ pub(crate) struct ObsState {
     /// Per-spec SLO gauges (value, burn fast/slow, breached), built on
     /// the first `note_slo` call.
     slo_gauges: Vec<[Arc<Gauge>; 4]>,
-    /// Driver phase totals: wall, dispatch, recovery, barrier (ms).
+    /// Driver phase totals: wall, dispatch, recovery, fold (ms).
     driver_stall: [Arc<Gauge>; 4],
     telemetry_every: u64,
     /// Outage length of every successful restart, in slots (feeds the
@@ -596,7 +611,12 @@ pub(crate) struct ObsState {
 
 impl EventSink for ObsState {
     fn record(&self, event: TraceEvent) {
-        if let Some(hub) = &self.hub {
+        let Some(hub) = &self.hub else {
+            return;
+        };
+        if self.holding.get() {
+            self.held_driver_events.borrow_mut().push_back(event);
+        } else {
             hub.write_event(&event);
         }
     }
@@ -604,10 +624,16 @@ impl EventSink for ObsState {
 
 impl LifecycleSink for ObsState {
     /// Driver-side lifecycle records go straight to the hub's sink —
-    /// the driver runs between barriers, so its records are already
+    /// the driver emits them at the watermark, so they are already
     /// deterministically ordered relative to the worker-ring drains.
+    /// Records of a slot dispatched ahead wait in the driver holdback.
     fn life(&self, record: LifecycleRecord) {
-        if let Some(hub) = &self.hub {
+        let Some(hub) = &self.hub else {
+            return;
+        };
+        if self.holding.get() {
+            self.held_driver_life.borrow_mut().push_back(record);
+        } else {
             hub.write_life(&record);
         }
     }
@@ -671,7 +697,7 @@ impl ObsState {
             ),
             degraded: per_shard(
                 "mec_serve_degraded_slots_total",
-                "barriered slots a shard missed",
+                "folded slots a shard missed",
             ),
             recovery_total: r.counter(
                 "mec_serve_recovery_latency_slots_total",
@@ -787,12 +813,16 @@ impl ObsState {
             life_rings: (0..shards)
                 .map(|_| lifecycle.then(|| LifecycleRing::with_capacity(LIFE_RING_CAP)))
                 .collect(),
-            held_events: (0..shards)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            held_life: (0..shards)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
+            held_events: (0..shards).map(|_| VecDeque::new()).collect(),
+            held_life: (0..shards).map(|_| VecDeque::new()).collect(),
+            holding: Cell::new(false),
+            held_driver_events: RefCell::new(VecDeque::new()),
+            held_driver_life: RefCell::new(VecDeque::new()),
+            dispatched_ahead: r.counter(
+                "mec_serve_slots_dispatched_ahead_total",
+                "slots dispatched ahead of the fold watermark",
+                &[],
+            ),
             stall: (0..shards)
                 .map(|s| {
                     let l: &[(&str, &str)] = &[("shard", &s.to_string())];
@@ -1277,7 +1307,7 @@ impl ObsState {
         );
     }
 
-    /// Updates the slot gauge at the end of a barrier.
+    /// Updates the slot gauge once a slot is folded.
     pub(crate) fn set_slot(&self, slot: u64) {
         self.slot.set(slot as f64);
     }
@@ -1463,6 +1493,36 @@ impl ObsState {
         self.journal_dropped.store(router.journal_dropped());
     }
 
+    /// Routes driver-side events and lifecycle records to the driver
+    /// holdback while `on` (the coordinator is dispatching ahead of the
+    /// watermark), to the sinks otherwise.
+    pub(crate) fn hold_driver(&self, on: bool) {
+        self.holding.set(on);
+    }
+
+    /// Counts one slot dispatched ahead of the fold watermark.
+    pub(crate) fn note_dispatched_ahead(&self) {
+        self.dispatched_ahead.inc();
+    }
+
+    /// Emits the held driver-side events and lifecycle records stamped
+    /// at or below `through` — the point where lockstep would have
+    /// emitted them. Held records are slot-ordered: the front dispatches
+    /// slots in order.
+    pub(crate) fn release_driver_through(&self, through: u64) {
+        let Some(hub) = &self.hub else {
+            return;
+        };
+        let mut events = self.held_driver_events.borrow_mut();
+        while let Some(event) = events.pop_front_if(|e| e.slot <= through) {
+            hub.write_event(&event);
+        }
+        let mut records = self.held_driver_life.borrow_mut();
+        while let Some(record) = records.pop_front_if(|r| r.slot <= through) {
+            hub.write_life(&record);
+        }
+    }
+
     /// Drains worker rings into the trace, in shard order, emitting only
     /// records stamped at or below the fold watermark `through`. Called
     /// once per watermark fold so worker events interleave
@@ -1588,7 +1648,9 @@ impl ObsState {
     /// Emits the run-end `stall_shard` / `stall_driver` trace events.
     /// Only called when the hub opted in with `--stall-events`: the
     /// payloads are wall-clock measurements, which would break trace
-    /// byte-identity across same-seed runs.
+    /// byte-identity across same-seed runs. `ahead` counts the run's
+    /// slots dispatched ahead of the fold watermark.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn note_stall_summary(
         &self,
         slot: u64,
@@ -1597,6 +1659,7 @@ impl ObsState {
         recovery_ms: f64,
         fold_ms: f64,
         slots: u64,
+        ahead: u64,
     ) {
         for (shard, probe) in self.stall.iter().enumerate() {
             mec_obs::event!(
@@ -1618,6 +1681,7 @@ impl ObsState {
             recovery_ms = recovery_ms,
             fold_ms = fold_ms,
             slots = slots,
+            ahead = ahead,
         );
     }
 

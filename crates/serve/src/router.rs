@@ -3,10 +3,13 @@
 //!
 //! The router owns the *driver-side* view of every shard's queue depth.
 //! Admission decisions use only that tracked backlog — the depth each
-//! shard reported at the last barriered tick plus the injections sent
-//! since — never live channel occupancy, so whether a run sheds a given
-//! request depends only on the seed, the load, and the shard count, not
-//! on thread timing.
+//! shard reported at its last folded tick plus the admissions in flight
+//! since (every request admitted into it after that tick, including those
+//! of slots dispatched ahead of the fold) — never live channel occupancy,
+//! so whether a run sheds a given request depends only on the seed, the
+//! load, and the shard count, not on thread timing. An engine step never
+//! raises a backlog, so the tracked value never undercounts the depth a
+//! lockstep run would see at the same slot.
 //!
 //! For fault tolerance the router additionally keeps, per shard:
 //!
@@ -360,8 +363,9 @@ impl Router {
 
     /// Moves `n` tracked in-flight jobs from `from`'s backlog to `to`'s
     /// — the admission-control view of a station handoff. Saturating on
-    /// the source side (the next barriered tick reports resynchronize
-    /// the truth either way).
+    /// the source side (the next folded tick of each shard resets its
+    /// tracked value to the observed depth plus the admissions in flight
+    /// either way).
     pub fn transfer_backlog(&mut self, from: usize, to: usize, n: usize) {
         if from == to || n == 0 {
             return;
@@ -403,8 +407,9 @@ impl Router {
         self.journal[shard].len()
     }
 
-    /// Replaces the tracked backlog of `shard` with the depth it reported
-    /// at the last barriered tick.
+    /// Replaces the tracked backlog of `shard`: the caller passes the
+    /// depth observed at the shard's last folded tick plus the admissions
+    /// into it still in flight past that tick.
     pub fn observe_backlog(&mut self, shard: usize, backlog: usize) {
         self.backlog[shard] = backlog;
     }

@@ -10,21 +10,39 @@
 //! Each shard is an actor with a bounded command mailbox; the coordinator
 //! never waits for a shard inside a slot. Instead it issues run-ahead
 //! **leases** (`ShardCommand::Grant`): a shard may execute every slot up
-//! to the granted horizon back-to-back, streaming one tick report per
-//! slot onto a shared progress channel. The coordinator's **watermark**
-//! advances one slot at a time: phase `t` (disk faults, reconfig,
-//! restarts, handoffs, dispatch) runs only after every live shard's slot
-//! `t-1` report has been folded, and the fold for slot `t` consumes
-//! reports **in shard order** regardless of the wall-clock order they
-//! arrived in. A lease may cover future slots only when the leased span
-//! is provably inert for the coordinator — no arrivals due, no placement
-//! or reconfig work scheduled, no pending handoffs, every shard up, and
-//! never across a scripted fault slot — so every cross-shard message for
-//! slot `t` is already in a shard's mailbox (FIFO, ahead of the grant
-//! covering `t`) before the shard may execute `t`. That makes the
-//! run-ahead invisible to the simulation: snapshots, traces, and final
-//! accounting are byte-identical for any epoch horizon, including
-//! horizon 1 (lockstep).
+//! to the granted horizon back-to-back, injecting the slot-stamped
+//! arrivals the grant carries before stepping each slot, and streaming
+//! one tick report per slot onto a shared progress channel. The
+//! coordinator's **watermark** advances one slot at a time: phase `t`
+//! (disk faults, reconfig, restarts, handoffs) runs only after every live
+//! shard's slot `t-1` report has been folded, and the fold for slot `t`
+//! consumes reports **in shard order** regardless of the wall-clock order
+//! they arrived in.
+//!
+//! ## The dispatch front
+//!
+//! Dispatch (route, admit, journal, and queue a slot's arrivals for the
+//! grant covering that slot) runs at a **dispatch front** that may lead
+//! the watermark by up to the epoch horizon, so a shard can execute slot
+//! `f` while the coordinator is still folding slot `f-1`. The front takes
+//! slot `f` early only when the coordinator can prove lockstep would make
+//! the same decisions there: (a) the run is quiet — virtual clock, every
+//! shard up, no pending handoffs, ops exhausted, nothing held by
+//! placement, no pending drains, no scripted disk faults; (b) `f` lies
+//! inside the horizon and before the hard stop, and an arrival at or past
+//! `f` is still due; (c) the front never passes a scripted shard-fault
+//! slot that has not been folded; (d) `f` is not a snapshot boundary; and
+//! (e) every shard's tracked backlog plus the arrivals at `f` that may
+//! land on it fits the queue capacity. The tracked backlog is the last
+//! observed backlog plus every admission since, and an engine step never
+//! raises a backlog, so under (e) lockstep would admit every one of those
+//! arrivals too. When any of (a)–(e) fails the front waits for the
+//! watermark and the slot runs exactly as lockstep runs it. A lease never
+//! covers a slot whose arrivals are not dispatched yet. Driver trace
+//! events and lifecycle records of a slot dispatched early are held back
+//! and emitted where lockstep emits them, so snapshots, traces, and final
+//! accounting are byte-identical for any epoch horizon, including horizon
+//! 1 (lockstep).
 //!
 //! ## The coordinator
 //!
@@ -33,7 +51,8 @@
 //! it one slot at a time, one method per phase: `reconfigure` (disk
 //! faults, drains, ops), `supervise` (restarts, then pending handoffs),
 //! `dispatch` (released holds and due arrivals through placement and
-//! admission), `grant` (extend leases), `fold_wait` (collect progress),
+//! admission), `dispatch_ahead` (move the dispatch front), `grant`
+//! (extend leases), `fold_wait` (collect progress),
 //! `fold` (apply this slot's reports in shard order), `observe_slo`, and
 //! `snapshot`; `finish` runs terminal accounting. Each shard worker is a
 //! `Worker` in the `shard` module with the matching methods on its side.
@@ -45,12 +64,13 @@
 //! source of ordering is pinned:
 //!
 //! * admission decisions read only the [`Router`]'s tracked backlog (the
-//!   depth each shard reported at its last folded tick plus injections
-//!   since), never live channel state;
+//!   depth each shard reported at its last folded tick plus the
+//!   admissions in flight since), never live channel state;
 //! * every slot is folded at the watermark — all live shards' reports
 //!   for the slot are consumed **in shard order** before anything else
 //!   happens, and worker-side trace/lifecycle records are held back
-//!   until the watermark passes their slot;
+//!   until the watermark passes their slot (driver-side ones of a slot
+//!   dispatched early, until lockstep would have dispatched it);
 //! * per-shard engine seeds derive from the base seed and shard index;
 //! * the final [`Snapshot`] carries no wall-clock field, and every fault
 //!   counter is in virtual slots or event counts.
@@ -120,7 +140,6 @@ use mec_topology::{StationId, Topology};
 use mec_workload::Request;
 use std::collections::VecDeque;
 use std::fmt;
-use std::iter::Peekable;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -193,9 +212,11 @@ pub struct ServeConfig {
     /// Run-ahead lease length in slots: how far past the fold watermark
     /// a shard may execute before it must wait for the coordinator.
     /// 1 (or 0) is lockstep; larger horizons let shards pipeline across
-    /// slots with the coordinator's fold. Leases never cover a slot with
-    /// scheduled coordinator work (arrivals, reconfig, faults, pending
-    /// handoffs), so the outcome is byte-identical for every horizon —
+    /// slots with the coordinator's fold, and let the coordinator
+    /// dispatch arrivals that far ahead of the fold when it can prove
+    /// lockstep admission (see the module docs). Leases never cover a
+    /// slot with undispatched arrivals, reconfig, faults, or pending
+    /// handoffs, so the outcome is byte-identical for every horizon —
     /// only wall-clock throughput changes. Ignored under a paced clock.
     pub epoch_horizon: u64,
     /// Supervision, checkpointing, and degraded-routing knobs.
@@ -227,7 +248,7 @@ pub struct ServeConfig {
     /// on any corruption so injected disk faults can change recovery
     /// counters but never the simulation outcome.
     pub state_dir: Option<PathBuf>,
-    /// Service-level objectives evaluated after every slot barrier (see
+    /// Service-level objectives evaluated after every slot fold (see
     /// [`mec_obs::SloSpec::parse`]). Empty (the default) disables the
     /// engine entirely; evaluation reads only deterministic per-slot
     /// deltas, so attaching SLOs never perturbs the run.
@@ -541,14 +562,20 @@ struct PendingHandoff {
     leave: bool,
 }
 
-/// Per-slot dispatch counters for the admission-funnel event.
-#[derive(Default)]
+/// One slot's dispatch outcome: the admission-funnel counters, plus the
+/// admissions per shard that the tracked backlog carries until the slot
+/// folds. Kept from dispatch to fold, so the slot's shed count feeds its
+/// SLO sample even when the slot was dispatched ahead of the watermark.
 struct DispatchCounts {
+    slot: u64,
     injected: u64,
     buffered: u64,
     spilled: u64,
     shed: u64,
     held: u64,
+    /// Requests admitted into each shard's backlog (injected, buffered,
+    /// or spilled), indexed by shard.
+    admitted: Vec<usize>,
 }
 
 /// Cumulative served-side totals across shards before a slot's fold —
@@ -579,7 +606,17 @@ struct Coordinator<'c> {
     progress_tx: Sender<ShardProgress>,
     progress_rx: Receiver<ShardProgress>,
     clock: Clock,
-    arrivals: Peekable<std::vec::IntoIter<Request>>,
+    /// Arrivals not yet dispatched, in arrival-slot order.
+    arrivals: VecDeque<Request>,
+    /// The dispatch front: every slot below it has been dispatched. It
+    /// leads the watermark only while [`Self::dispatch_ahead`] can prove
+    /// lockstep admission.
+    front: u64,
+    /// Dispatched slots not yet folded, oldest first.
+    unfolded: VecDeque<DispatchCounts>,
+    /// Per shard: admitted requests, stamped with their slot, waiting for
+    /// the grant that covers that slot.
+    outbox: Vec<Vec<(u64, Request)>>,
     /// Drain/leave handoffs waiting for their source shard to be up.
     pending: Vec<PendingHandoff>,
     slo: SloEngine,
@@ -590,6 +627,8 @@ struct Coordinator<'c> {
     /// (and counted as admitted or shed) even with drain 0.
     hard_stop: u64,
     snapshots_emitted: usize,
+    /// Slots dispatched ahead of the fold watermark so far.
+    dispatched_ahead: u64,
     // Driver-side phase split (wall-clock, registry-only): time spent
     // dispatching, recovering shards, and folding at the watermark
     // (granting leases, waiting for reports, folding them). The
@@ -634,12 +673,13 @@ pub fn serve<F: FnMut(&Snapshot)>(
         let slot = run.clock.ticks();
         run.reconfigure(slot);
         run.supervise(slot)?;
-        let shed = run.dispatch(slot);
+        run.dispatch(slot);
         let mark = run.slo_mark();
         run.clock.tick();
+        run.dispatch_ahead(slot);
         run.grant(slot);
         run.fold_wait();
-        run.fold(slot)?;
+        let shed = run.fold(slot)?;
         run.observe_slo(slot, mark, shed);
         // Worker-side events join the trace here, at the watermark, in
         // shard order. Events a run-ahead worker already emitted for
@@ -716,11 +756,15 @@ impl<'c> Coordinator<'c> {
             progress_tx,
             progress_rx,
             clock: Clock::new(cfg.clock),
-            arrivals: load.into_requests().into_iter().peekable(),
+            arrivals: load.into_requests().into(),
+            front: 0,
+            unfolded: VecDeque::new(),
+            outbox: vec![Vec::new(); cfg.shards],
             pending: Vec::new(),
             slo: SloEngine::new(cfg.slo.clone()),
             horizon_hint,
             snapshots_emitted: 0,
+            dispatched_ahead: 0,
             dispatch_ms: 0.0,
             recovery_ms: 0.0,
             fold_ms: 0.0,
@@ -740,12 +784,13 @@ impl<'c> Coordinator<'c> {
         let spec = SpawnSpec {
             plan: sup.plan.clone(),
             config: sup.sim,
-            // A slot's worth of admissions plus the handful of in-flight
-            // lease extensions a run-ahead span can leave queued, so the
-            // coordinator never blocks sending to a worker that is still
-            // executing a lease (and a parked, stalled worker can absorb
-            // everything sent before its fold deadline detects it).
-            command_bound: cfg.queue_capacity + 1 + cfg.epoch_horizon.max(1) as usize,
+            // Arrivals ride inside grants, and every grant extends the
+            // lease by at least one slot within the horizon past the
+            // watermark, so at most `horizon` grants are ever queued.
+            // The spare slot takes a handoff command (handoffs only run
+            // while leases are lockstep); a fuller mailbox only makes
+            // the coordinator wait for a live worker to drain it.
+            command_bound: cfg.epoch_horizon.max(1) as usize + 1,
             checkpoint_every: cfg.faults.checkpoint_every,
             faults: sup.faults_remaining.clone(),
             recover,
@@ -895,7 +940,12 @@ impl<'c> Coordinator<'c> {
                     rec.replayed,
                     slot.saturating_sub(detected_at),
                 );
+                // Catch-up injected every journaled admission, including
+                // those of slots dispatched past the watermark.
                 self.router.observe_backlog(shard, rec.backlog);
+                for counts in &mut self.unfolded {
+                    counts.admitted[shard] = 0;
+                }
                 self.router.mark_up(shard);
                 let sup = &mut self.supervised[shard];
                 sup.totals = rec.totals;
@@ -1028,11 +1078,105 @@ impl<'c> Coordinator<'c> {
         true
     }
 
+    /// Dispatches `slot` at the watermark: releases the driver events
+    /// of a slot the front already took, otherwise dispatches it now.
+    fn dispatch(&mut self, slot: u64) {
+        mec_obs::prof_slot!(slot);
+        if slot < self.front {
+            self.obs.release_driver_through(slot);
+        } else {
+            self.dispatch_slot(slot);
+        }
+    }
+
+    /// Moves the dispatch front ahead of the watermark as far as the
+    /// module docs' conditions (a)–(e) prove lockstep admission. Driver
+    /// events of every slot dispatched here are held back until
+    /// [`Self::dispatch`] reaches that slot.
+    fn dispatch_ahead(&mut self, slot: u64) {
+        // Scripted disk faults damage the journal mirror in place; an
+        // early append would change what a later salvage keeps.
+        if !self.cfg.chaos.disk_faults.is_empty() {
+            return;
+        }
+        let every = self.cfg.snapshot_every;
+        let horizon = self.cfg.epoch_horizon.max(1);
+        let limit = (slot + horizon)
+            .min(self.hard_stop)
+            .min(self.fault_fence(slot));
+        self.obs.hold_driver(true);
+        while self.front < limit
+            && self.quiet()
+            && self.arrivals.front().is_some()
+            && !(every > 0 && self.front.is_multiple_of(every))
+            && self.admission_bound_holds(self.front)
+        {
+            self.dispatch_slot(self.front);
+            self.dispatched_ahead += 1;
+            self.obs.note_dispatched_ahead();
+        }
+        self.obs.hold_driver(false);
+        mec_obs::prof_slot!(slot);
+    }
+
+    /// Nothing but the engines changes state: no outage, handoff,
+    /// reconfiguration or placement hold that lockstep would interleave
+    /// with a lease or a dispatch. Condition (a), with no disk faults.
+    fn quiet(&self) -> bool {
+        self.cfg.epoch_horizon > 1
+            && self.cfg.clock == ClockMode::Virtual
+            && self.pending.is_empty()
+            && self.supervised.iter().all(|s| s.status == ShardStatus::Up)
+            && self.plane.ops_exhausted()
+            && !self.plane.has_held()
+            && !self.plane.has_pending_drains()
+    }
+
+    /// Condition (c): the last slot the front may take, the first
+    /// scripted shard fault at or after the watermark. The fault's own
+    /// slot is dispatched while the shard is up, as lockstep does; the
+    /// next slot waits for the fold that sees whether it survived.
+    fn fault_fence(&self, slot: u64) -> u64 {
+        self.supervised
+            .iter()
+            .flat_map(|s| &s.faults_remaining)
+            .map(|f| f.slot)
+            .filter(|&f| f >= slot)
+            .min()
+            .map_or(u64::MAX, |f| f + 1)
+    }
+
+    /// Condition (e): every arrival due at `f` fits its shard's queue on
+    /// the tracked backlog, which never undercounts the backlog lockstep
+    /// would see at `f`. With a live placement plane an arrival may be
+    /// rehomed onto any shard, so each shard must fit all of them.
+    fn admission_bound_holds(&self, f: u64) -> bool {
+        let due = self.arrivals.iter().take_while(|r| r.arrival_slot() <= f);
+        let backlogs = self.router.backlogs();
+        let cap = self.cfg.queue_capacity;
+        if self.plane.is_live() {
+            let n = due.count();
+            return backlogs.iter().all(|&b| b + n <= cap);
+        }
+        let mut fits = backlogs
+            .iter()
+            .map(|&b| cap.saturating_sub(b))
+            .collect::<Vec<_>>();
+        for request in due {
+            let room = &mut fits[self.router.shard_of(request.home())];
+            if *room == 0 {
+                return false;
+            }
+            *room -= 1;
+        }
+        true
+    }
+
     /// Dispatches requests released from install holds, then every
-    /// arrival due by this slot — all through the placement plane and
-    /// admission, counting each outcome for the admission-funnel event.
-    /// Returns the slot's shed count.
-    fn dispatch(&mut self, slot: u64) -> u64 {
+    /// arrival due by `slot` — all through the placement plane and
+    /// admission, counting each outcome for the admission-funnel event —
+    /// and advances the front past `slot`.
+    fn dispatch_slot(&mut self, slot: u64) {
         // Installs that finished their latency window become resident
         // before this slot's dispatch, so their held requests hit.
         for done in self.plane.complete_installs(slot) {
@@ -1040,7 +1184,15 @@ impl<'c> Coordinator<'c> {
         }
         let shed_down_before = self.router.shed_while_down();
         let place_before = self.plane.stats().clone();
-        let mut counts = DispatchCounts::default();
+        let mut counts = DispatchCounts {
+            slot,
+            injected: 0,
+            buffered: 0,
+            spilled: 0,
+            shed: 0,
+            held: 0,
+            admitted: vec![0; self.cfg.shards],
+        };
         let start = Instant::now();
         {
             mec_obs::prof_slot!(slot);
@@ -1050,12 +1202,12 @@ impl<'c> Coordinator<'c> {
                 mec_obs::lifecycle!(self.obs, rid, "release", slot, DRIVER, NO_BS);
                 self.dispatch_one(request, slot, &mut counts);
             }
-            while let Some(request) = self.arrivals.next_if(|r| r.arrival_slot() <= slot) {
+            while let Some(request) = self.arrivals.pop_front_if(|r| r.arrival_slot() <= slot) {
                 self.dispatch_one(request, slot, &mut counts);
             }
         }
         // Per-slot durability point: everything this slot admitted is on
-        // disk before the slot's lease can execute.
+        // disk before the grant covering the slot is sent.
         if let Some(store) = self.store.as_mut() {
             if let Err(e) = store.flush() {
                 self.obs
@@ -1075,7 +1227,8 @@ impl<'c> Coordinator<'c> {
         );
         let place_delta = self.plane.stats().delta_since(&place_before);
         self.obs.note_placement(slot, &place_delta);
-        counts.shed
+        self.unfolded.push_back(counts);
+        self.front = slot + 1;
     }
 
     /// Routes one request through the placement plane and, when it
@@ -1083,7 +1236,8 @@ impl<'c> Coordinator<'c> {
     /// fresh arrivals and released held requests take. Every admitted
     /// request is mirrored to the shard's on-disk journal when a state
     /// directory is configured (write failures degrade to counters, never
-    /// to outcome).
+    /// to outcome), and a live one waits in the shard's outbox for the
+    /// grant covering `slot`.
     fn dispatch_one(&mut self, request: Request, slot: u64, counts: &mut DispatchCounts) {
         let rid = request.id().index() as u64;
         let request = match self.plane.route(request, slot) {
@@ -1129,15 +1283,14 @@ impl<'c> Coordinator<'c> {
                 return;
             }
         };
+        counts.admitted[shard] += 1;
         if let Some(store) = self.store.as_mut() {
             if let Err(e) = store.append_arrival(shard, slot, &request) {
                 self.obs.note_disk_write_error(slot, shard, "append", &e);
             }
         }
-        // A failed send means the worker died since its last tick; the
-        // request is already journaled, so replay delivers it.
         if live {
-            self.send(shard, slot, ShardCommand::Inject(request));
+            self.outbox[shard].push((slot, request));
         }
     }
 
@@ -1171,6 +1324,9 @@ impl<'c> Coordinator<'c> {
         if let Some(handle) = sup.handle.take() {
             handle.abandon();
         }
+        // Queued arrivals are journaled; the restart's replay delivers
+        // them.
+        self.outbox[shard].clear();
         self.router.mark_down(shard);
         let restart_at = sup.restart_slot(detected_at, backoff);
         sup.faults_remaining.retain(|f| f.slot > detected_at);
@@ -1203,7 +1359,8 @@ impl<'c> Coordinator<'c> {
         (good, bad)
     }
 
-    /// Extends each live shard's lease, possibly many slots ahead. A
+    /// Extends each live shard's lease, possibly many slots ahead, and
+    /// ships the arrivals of the newly covered slots inside the grant. A
     /// shard's lease stops short of its next scripted fault, which must
     /// fire at its exact slot, after that slot's injections.
     fn grant(&mut self, slot: u64) {
@@ -1220,10 +1377,19 @@ impl<'c> Coordinator<'c> {
                 .iter()
                 .filter(|f| f.slot > slot)
                 .fold(lease_end, |through, f| through.min(f.slot - 1));
-            if sup.granted > through {
-                continue; // current lease already covers this slot
+            // A lease is extended only once less than half the horizon
+            // of it is left: a worker still busy with its lease needs no
+            // message yet, and the later grant carries more arrivals.
+            // (Measured on serve_steady: extending every slot was ~3%
+            // slower; refilling the dispatch front in half-horizon
+            // chunks instead was ~5% slower.)
+            if sup.granted > through || sup.granted > slot + self.cfg.epoch_horizon / 2 {
+                continue;
             }
-            if self.send(shard, slot, ShardCommand::Grant { through }) {
+            let outbox = &mut self.outbox[shard];
+            let covered = outbox.partition_point(|(s, _)| *s <= through);
+            let arrivals = outbox.drain(..covered).collect();
+            if self.send(shard, slot, ShardCommand::Grant { through, arrivals }) {
                 self.supervised[shard].granted = through + 1;
             }
         }
@@ -1231,25 +1397,16 @@ impl<'c> Coordinator<'c> {
     }
 
     /// The last slot a lease granted at `slot` may cover. A shard may run
-    /// ahead of the coordinator only while the coordinator can prove it
-    /// will send that shard nothing for the leased slots: no pending
-    /// arrivals or held releases inside the lease, no reconfig ops or
-    /// handoffs outstanding, and every peer up (so no extract/absorb or
-    /// restart traffic).
-    fn lease_end(&mut self, slot: u64) -> u64 {
-        let horizon = self.cfg.epoch_horizon.max(1);
-        let run_ahead = horizon > 1
-            && self.cfg.clock == ClockMode::Virtual
-            && self.pending.is_empty()
-            && self.supervised.iter().all(|s| s.status == ShardStatus::Up)
-            && self.plane.ops_exhausted()
-            && !self.plane.has_held()
-            && !self.plane.has_pending_drains();
-        if !run_ahead {
+    /// ahead of the watermark only while the coordinator can prove it
+    /// will send that shard nothing but the arrivals of the leased slots,
+    /// all dispatched already: the run is quiet (see [`Self::quiet`])
+    /// and the lease stops before the next undispatched arrival.
+    fn lease_end(&self, slot: u64) -> u64 {
+        if !self.quiet() {
             return slot;
         }
-        let mut through = slot + horizon - 1;
-        if let Some(next) = self.arrivals.peek() {
+        let mut through = slot + self.cfg.epoch_horizon - 1;
+        if let Some(next) = self.arrivals.front() {
             through = through.min(next.arrival_slot().saturating_sub(1));
         }
         through.min(self.hard_stop.saturating_sub(1)).max(slot)
@@ -1288,10 +1445,15 @@ impl<'c> Coordinator<'c> {
     /// Folds exactly this slot's tick reports in shard order — the
     /// ordering half of the determinism contract. A missing tick carries
     /// its detection signal: a death notice is a crash, a bare deadline a
-    /// stall.
-    fn fold(&mut self, slot: u64) -> Result<(), ServeError> {
+    /// stall. Returns the slot's shed count.
+    fn fold(&mut self, slot: u64) -> Result<u64, ServeError> {
         mec_obs::prof_scope!("serve.fold");
         let start = Instant::now();
+        let counts = self
+            .unfolded
+            .pop_front()
+            .expect("every slot is dispatched before it folds");
+        debug_assert_eq!(counts.slot, slot, "slot folded before its dispatch");
         for shard in 0..self.supervised.len() {
             let sup = &mut self.supervised[shard];
             if sup.status != ShardStatus::Up {
@@ -1320,14 +1482,15 @@ impl<'c> Coordinator<'c> {
             self.recovery_ms,
             self.fold_ms,
         );
-        Ok(())
+        Ok(counts.shed)
     }
 
     /// Folds one tick report into the supervisor state: adopt any
     /// checkpoint (pruning the journal and replay events it covers, and
     /// mirroring it to disk when a state directory is configured),
-    /// refresh the tracked backlog, cache the cumulative counters, and
-    /// feed the tick to the metrics layer.
+    /// refresh the tracked backlog (the reported depth plus the
+    /// admissions of slots dispatched past this one), cache the
+    /// cumulative counters, and feed the tick to the metrics layer.
     fn apply_tick(&mut self, shard: usize, tick: &ShardTick) {
         self.obs.note_tick(tick);
         let sup = &mut self.supervised[shard];
@@ -1367,7 +1530,8 @@ impl<'c> Coordinator<'c> {
                 }
             }
         }
-        self.router.observe_backlog(shard, tick.backlog);
+        let in_flight: usize = self.unfolded.iter().map(|c| c.admitted[shard]).sum();
+        self.router.observe_backlog(shard, tick.backlog + in_flight);
         sup.totals = tick.totals;
         sup.latencies.extend_from_slice(&tick.new_latencies);
     }
@@ -1439,10 +1603,11 @@ impl<'c> Coordinator<'c> {
         }
     }
 
-    /// Every arrival dispatched, every backlog empty, and no placement or
-    /// reconfiguration work outstanding.
-    fn drained(&mut self) -> bool {
-        self.arrivals.peek().is_none()
+    /// Every arrival dispatched and folded, every backlog empty, and no
+    /// placement or reconfiguration work outstanding.
+    fn drained(&self) -> bool {
+        self.arrivals.is_empty()
+            && self.front <= self.clock.ticks()
             && self.router.backlogs().iter().all(|&b| b == 0)
             && !self.plane.has_held()
             && self.plane.ops_exhausted()
@@ -1506,8 +1671,15 @@ impl<'c> Coordinator<'c> {
         let wall_ms = wall_secs * 1e3;
         let (dispatch, recovery, fold) = (self.dispatch_ms, self.recovery_ms, self.fold_ms);
         if self.obs.stall_events() {
-            self.obs
-                .note_stall_summary(end_slot, wall_ms, dispatch, recovery, fold, end_slot);
+            self.obs.note_stall_summary(
+                end_slot,
+                wall_ms,
+                dispatch,
+                recovery,
+                fold,
+                end_slot,
+                self.dispatched_ahead,
+            );
         }
         self.obs
             .note_driver_stall(wall_ms, dispatch, recovery, fold);

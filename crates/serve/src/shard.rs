@@ -2,14 +2,14 @@
 //! [`mec_sim::Engine`] plus a boxed policy, driven over channels.
 //!
 //! Each worker is an actor with a bounded command mailbox and a shared
-//! progress plane. The coordinator feeds any number of
-//! [`ShardCommand::Inject`]s (slot-stamped by construction: injections for
-//! slot `t` always precede the grant covering `t`, and the mailbox is
-//! FIFO), then extends the shard's run-ahead lease with
-//! [`ShardCommand::Grant`]. The worker executes every leased slot
-//! back-to-back, streaming one [`ShardEvent::Tick`] per slot onto the
-//! progress channel — it never waits for the coordinator between slots of
-//! the same grant, which is what removes the per-slot barrier. A policy
+//! progress plane. The coordinator extends the shard's run-ahead lease
+//! with [`ShardCommand::Grant`], which carries the slot-stamped arrivals
+//! of the slots it newly covers. The worker injects each slot's arrivals
+//! and executes every leased slot back-to-back, streaming one
+//! [`ShardEvent::Tick`] per slot onto the progress channel — it never
+//! waits for the coordinator between slots of the same grant, so a lease
+//! that reaches past the slot being folded keeps the worker busy while
+//! the coordinator folds. A policy
 //! error during a live tick becomes a [`ShardEvent::Error`]; an abnormal
 //! thread death (chaos crash, engine panic) becomes a
 //! [`ShardEvent::Died`] sent by the spawn wrapper. Synchronous
@@ -50,15 +50,13 @@ use std::time::{Duration, Instant};
 /// What the driver sends a shard worker.
 #[derive(Debug)]
 pub enum ShardCommand {
-    /// Feed one admitted (already shard-localized) request to the engine.
-    Inject(Request),
     /// Clone this shard-local station's in-flight jobs into a
     /// [`StationSlice`], mark the originals migrated, and reply with
     /// [`ShardReply::Extracted`]. The drain/leave handoff path: only the
     /// drained station's state moves, never the whole engine.
     ExtractStation(StationId),
     /// Continue the jobs in a slice extracted elsewhere, re-homed onto the
-    /// given shard-local station. No reply (like [`ShardCommand::Inject`]).
+    /// given shard-local station. No reply.
     /// The third field carries the global request id of each job in slice
     /// order, so lifecycle tracking survives the engine re-identifying the
     /// absorbed jobs (empty when lifecycle tracing is off).
@@ -70,6 +68,10 @@ pub enum ShardCommand {
     Grant {
         /// Last slot (inclusive) the worker may execute.
         through: u64,
+        /// Admitted (already shard-localized) requests stamped with their
+        /// admission slot, in admission order: each enters the engine
+        /// right before the first executed slot at or after its stamp.
+        arrivals: Vec<(u64, Request)>,
     },
     /// Flush terminal accounting, reply with [`ShardReply::Final`], stop.
     Finish,
@@ -472,9 +474,10 @@ struct Worker<'a> {
 
 /// The stall bucket a stretch of worker time is charged to. With the
 /// watermark wait (charged per grant) the buckets partition the worker's
-/// loop time exactly: work (executing leased slots and catch-up replay),
-/// mailbox (handling inject/extract/absorb traffic), and watermark wait
-/// (blocked on the mailbox until the coordinator extends the lease).
+/// loop time exactly: work (injecting and executing leased slots, and
+/// catch-up replay), mailbox (handling extract/absorb traffic), and
+/// watermark wait (blocked on the mailbox until the coordinator extends
+/// the lease).
 #[derive(Clone, Copy)]
 enum Stall {
     Work,
@@ -631,10 +634,6 @@ impl<'a> Worker<'a> {
             let started = Instant::now();
             self.grant_wait_ms += (started - idle_since).as_secs_f64() * 1e3;
             let bucket = match cmd {
-                ShardCommand::Inject(request) => {
-                    self.inject(request);
-                    Stall::Mailbox
-                }
                 ShardCommand::ExtractStation(station) => {
                     if !self.extract(station) {
                         return;
@@ -645,9 +644,9 @@ impl<'a> Worker<'a> {
                     self.absorb(&slice, home, &ids);
                     Stall::Mailbox
                 }
-                ShardCommand::Grant { through } => {
+                ShardCommand::Grant { through, arrivals } => {
                     self.lease_granted();
-                    if !self.run_lease(through) {
+                    if !self.run_lease(through, arrivals) {
                         return;
                     }
                     Stall::Work
@@ -711,19 +710,32 @@ impl<'a> Worker<'a> {
             .is_ok()
     }
 
-    /// Executes every slot up to and including `through`, streaming one
-    /// tick per slot on the progress plane. Returns `false` when the
-    /// worker must exit: a policy error, a stall fault, or nobody
-    /// listens.
-    fn run_lease(&mut self, through: u64) -> bool {
+    /// Executes every slot up to and including `through`, injecting each
+    /// slot's `arrivals` first and streaming one tick per slot on the
+    /// progress plane. Returns `false` when the worker must exit: a
+    /// policy error, a stall fault, or nobody listens.
+    fn run_lease(&mut self, through: u64, arrivals: Vec<(u64, Request)>) -> bool {
+        let mut arrivals = arrivals.into_iter().peekable();
         while self.next_live_slot <= through {
             mec_obs::prof_scope!("serve.shard_tick");
+            let slot = self.next_live_slot;
+            while let Some((_, request)) = arrivals.next_if(|(s, _)| *s <= slot) {
+                self.inject(request);
+            }
             if !self.fire_fault() {
                 return false;
             }
+            let backlog_before = cfg!(debug_assertions).then(|| self.engine.backlog());
             let stepped = mec_obs::span!(
                 self.spec.taps.step_hist,
                 self.engine.step(self.policy.as_mut())
+            );
+            // The coordinator's admission bound relies on this: a step
+            // only ever starts, finishes or drops jobs.
+            debug_assert!(
+                stepped.is_err() || backlog_before.is_none_or(|b| self.engine.backlog() <= b),
+                "a step raised shard {}'s backlog at slot {slot}",
+                self.shard()
             );
             let event = match stepped {
                 Ok(report) => ShardEvent::Tick(self.tick(report)),
@@ -736,6 +748,7 @@ impl<'a> Worker<'a> {
                 return false;
             }
         }
+        debug_assert!(arrivals.next().is_none(), "arrivals past the lease");
         true
     }
 
@@ -1038,11 +1051,13 @@ mod tests {
         let requests = WorkloadBuilder::new(&topo).seed(3).count(20).build();
         let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
         let (handle, events) = spawn_fresh(plan, policy, 64);
-        for r in requests {
-            handle.send(ShardCommand::Inject(r)).unwrap();
-        }
         // A single 100-slot lease streams one tick event per slot.
-        handle.send(ShardCommand::Grant { through: 99 }).unwrap();
+        handle
+            .send(ShardCommand::Grant {
+                through: 99,
+                arrivals: requests.into_iter().map(|r| (0, r)).collect(),
+            })
+            .unwrap();
         let mut backlog = usize::MAX;
         for slot in 0..100 {
             match events.recv().unwrap() {
@@ -1076,17 +1091,19 @@ mod tests {
         handle.join();
     }
 
-    /// Grants `slots` more slots starting at `from` and collects the tick
-    /// stream.
-    fn drive(
+    /// Grants `slots` more slots starting at `from`, carrying `arrivals`,
+    /// and collects the tick stream.
+    fn drive_with(
         handle: &ShardHandle,
         events: &Receiver<ShardProgress>,
         from: u64,
         slots: u64,
+        arrivals: Vec<(u64, Request)>,
     ) -> Vec<ShardTick> {
         handle
             .send(ShardCommand::Grant {
                 through: from + slots - 1,
+                arrivals,
             })
             .unwrap();
         (0..slots)
@@ -1095,6 +1112,16 @@ mod tests {
                 other => panic!("expected tick event, got {other:?}"),
             })
             .collect()
+    }
+
+    /// [`drive_with`] without arrivals.
+    fn drive(
+        handle: &ShardHandle,
+        events: &Receiver<ShardProgress>,
+        from: u64,
+        slots: u64,
+    ) -> Vec<ShardTick> {
+        drive_with(handle, events, from, slots, Vec::new())
     }
 
     #[test]
@@ -1106,7 +1133,12 @@ mod tests {
         let ticks = drive(&handle, &events, 0, 5);
         assert_eq!(ticks.last().unwrap().report.slot, 4);
         // A non-extending lease executes nothing: no stray tick events.
-        handle.send(ShardCommand::Grant { through: 3 }).unwrap();
+        handle
+            .send(ShardCommand::Grant {
+                through: 3,
+                arrivals: Vec::new(),
+            })
+            .unwrap();
         let extended = drive(&handle, &events, 5, 1);
         assert_eq!(extended[0].report.slot, 5, "slots 0..=4 must not re-run");
         handle.send(ShardCommand::Finish).unwrap();
@@ -1146,10 +1178,8 @@ mod tests {
         let reference = {
             let policy = policy_from_name("Greedy", 100, mec_core::SolverKind::default()).unwrap();
             let (handle, events) = spawn_fresh(plan.clone(), policy, 64);
-            for r in requests.clone() {
-                handle.send(ShardCommand::Inject(r)).unwrap();
-            }
-            let ticks = drive(&handle, &events, 0, 40);
+            let arrivals = requests.iter().map(|r| (0, r.clone())).collect();
+            let ticks = drive_with(&handle, &events, 0, 40, arrivals);
             let last = ticks.last().unwrap().clone();
             handle.send(ShardCommand::Finish).unwrap();
             handle.join();
@@ -1204,10 +1234,8 @@ mod tests {
             ..spec(plan, 64, progress)
         };
         let handle = ShardHandle::spawn(spec, policy).unwrap();
-        for r in requests {
-            handle.send(ShardCommand::Inject(r)).unwrap();
-        }
-        let ticks = drive(&handle, &events, 0, 20);
+        let arrivals = requests.into_iter().map(|r| (0, r)).collect();
+        let ticks = drive_with(&handle, &events, 0, 20, arrivals);
         let events: usize = ticks.iter().map(|t| t.learner_events.len()).sum();
         assert!(events > 0, "a probed learner must stream lifecycle events");
         for tick in &ticks {
@@ -1257,7 +1285,12 @@ mod tests {
         };
         let handle = ShardHandle::spawn(spec, policy).unwrap();
         drive(&handle, &events, 0, 2);
-        handle.send(ShardCommand::Grant { through: 2 }).unwrap();
+        handle
+            .send(ShardCommand::Grant {
+                through: 2,
+                arrivals: Vec::new(),
+            })
+            .unwrap();
         match events.recv_timeout(Duration::from_millis(100)) {
             Err(RecvTimeoutError::Timeout) => {}
             other => panic!("expected a stall timeout, got {other:?}"),
@@ -1287,7 +1320,12 @@ mod tests {
         let handle = ShardHandle::spawn(spec, policy).unwrap();
         // Lease past the crash slot: ticks 0..=2 stream, then the spawn
         // wrapper's Died notice — strictly after the surviving ticks.
-        handle.send(ShardCommand::Grant { through: 5 }).unwrap();
+        handle
+            .send(ShardCommand::Grant {
+                through: 5,
+                arrivals: Vec::new(),
+            })
+            .unwrap();
         for slot in 0..3 {
             match events.recv().unwrap().event {
                 ShardEvent::Tick(tick) => assert_eq!(tick.report.slot, slot),

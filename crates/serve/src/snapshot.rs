@@ -65,7 +65,7 @@ pub struct FaultStats {
     /// `shed`, or a full journal under `buffer`); also counted in the
     /// snapshot's `shed` total.
     pub shed_while_down: u64,
-    /// Shard-slots spent unavailable: each barriered slot a shard missed
+    /// Shard-slots spent unavailable: each folded slot a shard missed
     /// adds one.
     pub degraded_slots: u64,
     /// Total outage length across restarts, in slots (restart slot minus

@@ -4,15 +4,32 @@
 //! the per-slot interleaving of shard progress events and batched
 //! cross-shard messages is allowed to vary, the folded outcome is not.
 
-use mec_serve::{serve, ChaosSpec, FaultConfig, FaultStats, LoadGen, ServeConfig, Snapshot};
+use mec_serve::{
+    serve, ChaosSpec, DegradedPolicy, FaultConfig, FaultStats, LoadGen, ServeConfig, Snapshot,
+};
 use mec_sim::SlotConfig;
 use mec_topology::TopologyBuilder;
 use mec_workload::WorkloadBuilder;
 use proptest::prelude::*;
 
-/// Runs the serving loop and returns every periodic snapshot
-/// (serialized) plus the final snapshot — the byte-level oracle for
-/// merge equality.
+/// Admission knobs a run may vary: the per-shard queue cap and what
+/// happens to arrivals whose shard is down.
+#[derive(Clone, Copy)]
+struct AdmissionKnobs {
+    queue_capacity: usize,
+    degraded: DegradedPolicy,
+}
+
+impl Default for AdmissionKnobs {
+    fn default() -> Self {
+        Self {
+            queue_capacity: 256,
+            degraded: DegradedPolicy::Buffer,
+        }
+    }
+}
+
+/// [`run_admitting`] with the default admission knobs.
 fn run_once(
     seed: u64,
     shards: usize,
@@ -20,6 +37,27 @@ fn run_once(
     chaos: &str,
     requests: usize,
     rps: f64,
+) -> (Vec<String>, Snapshot) {
+    run_admitting(
+        seed,
+        shards,
+        horizon,
+        chaos,
+        (requests, rps),
+        AdmissionKnobs::default(),
+    )
+}
+
+/// Runs the serving loop over `requests` arrivals at `rps` and returns
+/// every periodic snapshot (serialized) plus the final snapshot — the
+/// byte-level oracle for merge equality.
+fn run_admitting(
+    seed: u64,
+    shards: usize,
+    horizon: u64,
+    chaos: &str,
+    (requests, rps): (usize, f64),
+    admission: AdmissionKnobs,
 ) -> (Vec<String>, Snapshot) {
     let topo = TopologyBuilder::new(12).seed(seed).build();
     let population = WorkloadBuilder::new(&topo)
@@ -29,11 +67,15 @@ fn run_once(
     let load = LoadGen::poisson(population, rps, 50.0, seed);
     let cfg = ServeConfig {
         shards,
-        queue_capacity: 256,
+        queue_capacity: admission.queue_capacity,
         snapshot_every: 16,
         epoch_horizon: horizon,
         policy: "Greedy".to_string(),
         chaos: ChaosSpec::parse(chaos).expect("valid chaos spec"),
+        faults: FaultConfig {
+            degraded: admission.degraded,
+            ..FaultConfig::default()
+        },
         sim: SlotConfig {
             seed,
             ..SlotConfig::default()
@@ -60,44 +102,64 @@ fn defaulted_faults(snapshot: &Snapshot) -> String {
     .to_json()
 }
 
+/// A degraded-routing policy for arrivals whose shard is down.
+fn degraded_policy() -> impl Strategy<Value = DegradedPolicy> {
+    prop_oneof![
+        Just(DegradedPolicy::Buffer),
+        Just(DegradedPolicy::Shed),
+        Just(DegradedPolicy::Spill),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any epoch horizon folds to the lockstep merge: periodic and
     /// final snapshots are byte-identical to the horizon-1 run for the
     /// same seed and shard count, for any interleaving the run-ahead
-    /// leases produce.
+    /// leases produce. The offered rate spans the 12-station knee (about
+    /// 30 rps) and the queue cap is small enough that, within one run,
+    /// the admission bound both holds and binds — so arrivals are
+    /// dispatched ahead of the watermark and also wait for it.
     #[test]
     fn any_horizon_matches_the_lockstep_merge(
         seed in 0u64..1000,
         shards in 1usize..4,
         horizon in 2u64..12,
+        rps in 10.0f64..400.0,
+        queue_capacity in 16usize..256,
     ) {
+        let admission = AdmissionKnobs { queue_capacity, ..AdmissionKnobs::default() };
         let (lock_periodic, lock_final) =
-            run_once(seed, shards, 1, "", 400, 2_000.0);
+            run_admitting(seed, shards, 1, "", (400, rps), admission);
         let (run_periodic, run_final) =
-            run_once(seed, shards, horizon, "", 400, 2_000.0);
+            run_admitting(seed, shards, horizon, "", (400, rps), admission);
         prop_assert_eq!(lock_periodic, run_periodic);
         prop_assert_eq!(lock_final.to_json(), run_final.to_json());
     }
 
     /// Same property with scripted chaos in the run-ahead window: the
     /// fault fires at its exact slot and recovery replays to the same
-    /// merge, horizon notwithstanding.
+    /// merge, horizon notwithstanding, whatever happens to the arrivals
+    /// of the down shard.
     #[test]
     fn chaos_under_any_horizon_matches_lockstep(
         seed in 0u64..500,
         horizon in 2u64..10,
         crash_slot in 3u64..12,
+        rps in 10.0f64..400.0,
+        queue_capacity in 16usize..256,
+        degraded in degraded_policy(),
     ) {
         let chaos = format!(
             "crash:shard=1@slot={crash_slot},recover@slot={}",
             crash_slot + 4
         );
+        let admission = AdmissionKnobs { queue_capacity, degraded };
         let (lock_periodic, lock_final) =
-            run_once(seed, 2, 1, &chaos, 400, 2_000.0);
+            run_admitting(seed, 2, 1, &chaos, (400, rps), admission);
         let (run_periodic, run_final) =
-            run_once(seed, 2, horizon, &chaos, 400, 2_000.0);
+            run_admitting(seed, 2, horizon, &chaos, (400, rps), admission);
         prop_assert_eq!(lock_periodic, run_periodic);
         prop_assert_eq!(lock_final.to_json(), run_final.to_json());
     }

@@ -2,6 +2,7 @@
 //! policy must never trip validation, and the accounting invariants must
 //! hold for any workload.
 
+use mec_core::{DynamicRr, DynamicRrConfig, OnlineGreedy};
 use mec_sim::{Allocation, Engine, Phase, SlotConfig, SlotContext, SlotPolicy};
 use mec_topology::units::{Compute, DataRate, Latency};
 use mec_topology::TopologyBuilder;
@@ -215,5 +216,56 @@ proptest! {
             restored.step(&mut cont_b).expect("legal policy");
         }
         prop_assert_eq!(engine.checkpoint(), restored.checkpoint());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A step never raises the backlog (waiting + running jobs): it only
+    /// starts, finishes, expires or aborts jobs, and arrivals enter only
+    /// through `inject`. The serving runtime's dispatch-ahead admission
+    /// bound rests on this. Arrivals are injected slot by slot, as the
+    /// runtime's shard workers do, under both serving policies.
+    #[test]
+    fn step_never_raises_the_backlog(
+        seed in 0u64..1000,
+        n in 1usize..60,
+        stations in 1usize..8,
+        slots in 1u64..80,
+        learner in 0u8..2,
+    ) {
+        let topo = TopologyBuilder::new(stations).seed(seed).build();
+        let requests = WorkloadBuilder::new(&topo)
+            .seed(seed)
+            .count(n)
+            .arrivals(ArrivalProcess::UniformOver { horizon: slots })
+            .build();
+        let paths = topo.shortest_paths();
+        let cfg = SlotConfig { horizon: slots, seed, ..Default::default() };
+        let mut policy: Box<dyn SlotPolicy> = if learner == 1 {
+            Box::new(DynamicRr::new(DynamicRrConfig {
+                horizon_hint: slots,
+                ..Default::default()
+            }))
+        } else {
+            Box::new(OnlineGreedy::new())
+        };
+        let mut engine = Engine::new(&topo, &paths, Vec::new(), cfg);
+        let mut arrivals = requests.into_iter().peekable();
+        for slot in 0..slots {
+            while let Some(request) = arrivals.next_if(|r| r.arrival_slot() <= slot) {
+                engine.inject(request);
+            }
+            let before = engine.backlog();
+            engine.step(policy.as_mut()).expect("serving policies are legal");
+            prop_assert!(
+                engine.backlog() <= before,
+                "slot {} raised the backlog from {} to {}",
+                slot,
+                before,
+                engine.backlog()
+            );
+        }
     }
 }
